@@ -13,13 +13,6 @@ from seqasym import catalog
 from seqasym.decomposition import parts_table
 from seqasym.oracle import ORACLE_KINDS, default_oracle_size, object_count, oracle_for
 
-FACTORIES = {
-    "tournaments": catalog.tournaments,
-    "permutations": catalog.permutations,
-    "matchings": catalog.matchings,
-    "unlabeled_tournaments": lambda d: catalog.unlabeled_tournaments(),
-}
-
 DEFAULT_GRID = (
     ("tournaments", 1),
     ("tournaments", 2),
@@ -32,7 +25,7 @@ DEFAULT_GRID = (
 
 
 def run_one(kind, d, n_max, workers, budget):
-    A = FACTORIES[kind](d)
+    A = catalog.resolve_class(kind, d)
     table = parts_table(A, n_max, n_max)
     ok = True
     for n in range(1, n_max + 1):

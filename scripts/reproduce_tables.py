@@ -15,18 +15,11 @@ from seqasym.decomposition import parts_table
 from seqasym.reference_tables import APPENDIX_ORDER, REFERENCE_TABLES
 from seqasym.render import grid_markdown
 
-FACTORIES = {
-    "tournaments": catalog.tournaments,
-    "permutations": catalog.permutations,
-    "matchings": catalog.matchings,
-    "unlabeled_tournaments": lambda d: catalog.unlabeled_tournaments(),
-}
-
 
 def regenerate(key):
     class_key, d, kind = key
     ref = REFERENCE_TABLES[key]
-    A = FACTORIES[class_key](d)
+    A = catalog.resolve_class(class_key, d)
     lo = ref.start_index
     hi = lo + len(ref.rows[0]) - 1
     if kind == "parts":

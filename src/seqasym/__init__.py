@@ -2,7 +2,7 @@
 
 A combinatorial class decomposable as A = SEQ(B) assigns to each size-n
 object a number of irreducible parts.  This package computes the exact
-distribution of that number (truncated series algebra over rationals), the
+distribution of that number (integer convolutions of counting values), the
 integer coefficients of its complete asymptotic expansion, finite-range
 audits of the growth condition the expansion rests on, and brute-force
 enumeration oracles that cross-check every exact pipeline on small sizes.

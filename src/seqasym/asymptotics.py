@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalog import CountingSequence
-from .decomposition import PartsTable, irreducible_series, parts_table
+from .decomposition import PartsTable, irreducible_counts, parts_table
 from .errors import LeadingTermUndefined, RangeError, UnsupportedF
 from .series import PowerSeries
 
@@ -165,9 +165,9 @@ def set_via_seq_coefficients(A: CountingSequence, k_max: int) -> CoefficientTabl
 
 def minimal_part_size(A: CountingSequence, probe_to: int = 40) -> int:
     """Smallest n >= 1 with a nonzero irreducible count."""
-    B = irreducible_series(A, probe_to)
+    b = irreducible_counts(A, probe_to)
     for n in range(1, probe_to + 1):
-        if B[n] != 0:
+        if b[n] != 0:
             return n
     raise RangeError(f"{A.name}: no irreducible object of size <= {probe_to}")
 
@@ -393,25 +393,20 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
     """Counting sequence of cycles of the parts of ``A_seq``.
 
     With B the irreducible series of the companion class, the class series is
-    1 + log(1/(1-B)): one empty object, and n!·[z^n] log(1/(1-B)) objects of
-    size n >= 1.  The counts are integers whenever the companion really is a
-    sequence class; integrality is asserted.
+    C = 1 + log(1/(1-B)) = 1 + log A: one empty object, and c_n objects of
+    size n >= 1.  Differentiating, A' = C' A, which is the labeled recurrence
+
+        c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k}.
     """
     if A_seq.labeling != "labeled":
         raise RangeError("the cycle construction is defined for labeled classes")
-    memo: list[int] = [1]
+    c: list[int] = [1]
 
     def fn(n: int) -> int:
-        if n >= len(memo):
-            order = max(n, 2 * len(memo))
-            B = irreducible_series(A_seq, order)
-            one_minus_b = PowerSeries.one(order) - B
-            log_inv = -one_minus_b.log()
-            for i in range(len(memo), order + 1):
-                v = log_inv[i] * factorial(i)
-                assert v.denominator == 1, f"non-integer cycle count at n={i}"
-                memo.append(int(v))
-        return memo[n]
+        a = A_seq.values(n)
+        for i in range(len(c), n + 1):
+            c.append(a[i] - sum(comb(i - 1, k - 1) * c[k] * a[i - k] for k in range(1, i)))
+        return c[n]
 
     return CountingSequence(
         name=f"cyc({A_seq.name})",
@@ -428,10 +423,9 @@ def cyc_part_count(A_seq: CountingSequence, m: int, n: int) -> int:
         raise RangeError("the cycle construction is defined for labeled classes")
     if m < 1:
         raise RangeError("m must be a positive integer")
-    B = irreducible_series(A_seq, n)
-    v = B.pow(m)[n] * factorial(n) / m
-    assert v.denominator == 1, f"non-integer {m}-part cycle count at n={n}"
-    return int(v)
+    count, rest = divmod(parts_table(A_seq, m, n).entries(n, m), m)
+    assert rest == 0, f"non-integer {m}-part cycle count at n={n}"
+    return count
 
 
 # ---------------------------------------------------------------------------

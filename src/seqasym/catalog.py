@@ -428,8 +428,3 @@ def catalog_classes(d_max: int = 3) -> list[CountingSequence]:
     out.append(constant_ones())
     return out
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -71,6 +71,9 @@ def _run(body) -> None:
 @click.group()
 def main() -> None:
     """Exact part-count statistics and asymptotic expansions for SEQ-like classes."""
+    # Output is exact decimal, so counts of any size must convert to and from str.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,15 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
         m_lo, m_hi = parse_range(m_value, "--m")
         if m_lo != m_hi:
             raise RangeError("--m must be a single value for expansions")
+        if m_lo < 1:
+            raise RangeError(f"--m must be at least 1, got {m_lo}")
+        if terms < 0:
+            raise RangeError(f"--terms must be nonnegative, got {terms}")
+        p = A.period if construction == "seq" and A.labeling == "labeled" else 1
+        if n_value < p * (terms + 1):
+            raise RangeError(
+                f"--n {n_value} is too small for --terms {terms}: need --n >= {p * (terms + 1)}"
+            )
         report = evaluate_partial_sum(A, m_lo, n_value, terms, construction)
         config = {
             "command": "expansion",

@@ -11,18 +11,24 @@ b_n^(m).  Conventions: b_0^(0) = 1, b_n^(0) = 0 for n > 0 (the empty object is
 the unique 0-part object), and the m = 1 row is the irreducible counting
 sequence itself.
 
-Everything here is exact integer/rational arithmetic.  A genuine class B can
-never have a negative count, so a negative computed entry is a hard error
-(NegativeIrreducibleCount): the input was not sequence-decomposable.
+Part counts are computed in exact integer arithmetic on counting values,
+with one primitive, :func:`convolve`: the counting sequence of a product of
+two generating functions,
 
-Two independent recurrences re-derive the m = 1 counts and act as internal
-cross-checks of the series inversion:
+    h_n = sum_k C(n,k) f_k g_{n-k}      (labeled; drop the binomial when unlabeled).
 
-* the direct convolution  b_n = a_n - sum_{k=1}^{n-1} C(n,k) b_k a_{n-k}
-  (labeled; drop the binomial when unlabeled), obtained by splitting off the
-  first part;
-* the halving form, which only convolves over parts of size <= n/2 by
-  exploiting the fact that at most one part can be larger than n/2:
+The irreducible counts come from splitting off the first part of each object,
+
+    b_n = a_n - sum_{k=1}^{n-1} C(n,k) b_k a_{n-k},
+
+and row m+1 of a parts table is the convolution of row m with b.  A genuine
+class B can never have a negative count, so a negative computed entry is a
+hard error (NegativeIrreducibleCount): the input was not sequence-decomposable.
+
+Two independent computations cross-check the integer route: the ``Fraction``
+series inversion B = 1 - 1/A (:func:`irreducible_series`), and the halving
+form, which only convolves over parts of size <= n/2 by exploiting the fact
+that at most one part can be larger than n/2:
 
       b_n = a_n - 2 sum_{k<=n/2} C(n,k) b_k a_{n-k}
                 + sum_{p,q<=n/2} n!/(p! q! (n-p-q)!) b_p b_q a_{n-p-q}.
@@ -31,17 +37,19 @@ cross-checks of the series inversion:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
+from typing import Sequence
 
 from .catalog import CountingSequence
-from .errors import NegativeIrreducibleCount, NonIntegerCount, PeriodMismatch, RangeError
-from .series import PowerSeries, counting_to_series
+from .errors import BadConstantTerm, NegativeIrreducibleCount, PeriodMismatch, RangeError
+from .series import PowerSeries, counting_to_series, series_to_counting
 
 __all__ = [
     "PartsTable",
     "RecurrenceReport",
     "LiftReport",
+    "convolve",
+    "irreducible_counts",
     "irreducible_series",
     "parts_table",
     "verify_simple_recurrence",
@@ -49,6 +57,46 @@ __all__ = [
     "periodic_reindex",
     "lift_consistency",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the integer core
+# ---------------------------------------------------------------------------
+
+
+def convolve(f: Sequence[int], g: Sequence[int], labeled: bool) -> list[int]:
+    """h_n = sum_k C(n,k) f_k g_{n-k} (no binomial when unlabeled).
+
+    The counting values of the product of the generating functions of f and
+    g, up to the shorter of the two lengths.
+    """
+    n_max = min(len(f), len(g)) - 1
+    out = [0] * (n_max + 1)
+    for k in range(n_max + 1):
+        fk = f[k]
+        if not fk:
+            continue
+        for j in range(n_max + 1 - k):
+            gj = g[j]
+            if gj:
+                out[k + j] += (comb(k + j, k) * fk if labeled else fk) * gj
+    return out
+
+
+def irreducible_counts(A: CountingSequence, n_max: int) -> list[int]:
+    """b_0..b_{n_max} from the first-part recurrence (negative values kept)."""
+    a = A.values(n_max)
+    if a[0] != 1:
+        raise BadConstantTerm(f"{A.name}: a_0 must be 1, got {a[0]}")
+    labeled = A.labeling == "labeled"
+    b = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        acc = a[n]
+        for k in range(1, n):
+            if b[k] and a[n - k]:
+                acc -= (comb(n, k) * b[k] if labeled else b[k]) * a[n - k]
+        b[n] = acc
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +129,6 @@ class PartsTable:
         return sum(self._rows[m][n] for m in range(self.m_max + 1))
 
 
-def _series_counts(f: PowerSeries, labeling: str, what: str) -> list[int]:
-    out = []
-    for n, c in enumerate(f.coefficients):
-        v = c * factorial(n) if labeling == "labeled" else c
-        if v.denominator != 1:
-            raise NonIntegerCount(f"{what}: non-integer count {v} at n={n}")
-        out.append(int(v))
-    return out
-
-
 def irreducible_series(A: CountingSequence, n_max: int) -> PowerSeries:
     """B(z) = 1 - 1/A(z) in the ring matching A's labeling."""
     series = counting_to_series(A.values(n_max), A.labeling, n_max)
@@ -104,18 +142,19 @@ def parts_table(A: CountingSequence, m_max: int, n_max: int) -> PartsTable:
     Raises NegativeIrreducibleCount on the first negative entry: the class is
     not a sequence of any genuine subclass.
     """
-    B = irreducible_series(A, n_max)
+    b = irreducible_counts(A, n_max)
+    labeled = A.labeling == "labeled"
     rows: list[tuple[int, ...]] = []
-    power = PowerSeries.one(n_max)
+    counts = [1] + [0] * n_max
     for m in range(m_max + 1):
-        counts = _series_counts(power, A.labeling, f"{A.name} parts m={m}")
         for n, v in enumerate(counts):
             if v < 0:
                 raise NegativeIrreducibleCount(
                     f"{A.name}: b_{n}^({m}) = {v} < 0; not sequence-decomposable"
                 )
         rows.append(tuple(counts))
-        power = power * B
+        if m < m_max:
+            counts = convolve(counts, b, labeled)
     return PartsTable(
         class_name=A.name,
         labeling=A.labeling,
@@ -140,24 +179,10 @@ class RecurrenceReport:
     values: tuple[int, ...]  # the series-inversion values b_0..b_{n_max}
 
 
-def _inversion_values(A: CountingSequence, n_max: int) -> list[int]:
-    """b_n via series inversion, allowing negative values (reported, not raised)."""
-    B = irreducible_series(A, n_max)
-    return _series_counts(B, A.labeling, f"{A.name} irreducible counts")
-
-
 def verify_simple_recurrence(A: CountingSequence, n_max: int) -> RecurrenceReport:
     """Compare series inversion against the first-part convolution recurrence."""
-    via_series = _inversion_values(A, n_max)
-    a = A.values(n_max)
-    labeled = A.labeling == "labeled"
-    b = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = a[n]
-        for k in range(1, n):
-            w = comb(n, k) if labeled else 1
-            acc -= w * b[k] * a[n - k]
-        b[n] = acc
+    via_series = series_to_counting(irreducible_series(A, n_max), A.labeling)
+    b = irreducible_counts(A, n_max)
     mismatches = tuple(
         (n, via_series[n], b[n]) for n in range(1, n_max + 1) if via_series[n] != b[n]
     )
@@ -167,7 +192,7 @@ def verify_simple_recurrence(A: CountingSequence, n_max: int) -> RecurrenceRepor
         n_max=n_max,
         all_equal=not mismatches,
         mismatches=mismatches,
-        values=tuple(via_series),
+        values=via_series,
     )
 
 
@@ -175,13 +200,15 @@ def verify_halving_identity(A: CountingSequence, n_max: int) -> RecurrenceReport
     """Compare series inversion against the half-size convolution identity.
 
     Labeled classes only; the identity never convolves over parts larger than
-    n/2, which is what makes it a genuinely different computation.
+    n/2, which is what makes it a genuinely different computation.  It runs
+    as a recurrence on its own earlier values, so it shares no intermediate
+    result with the series inversion it is compared against.
     """
     if A.labeling != "labeled":
         raise RangeError("the halving identity is stated for labeled classes")
-    via_series = _inversion_values(A, n_max)
+    via_series = series_to_counting(irreducible_series(A, n_max), A.labeling)
     a = A.values(n_max)
-    b = list(via_series)  # reuse inversion values below n; identity checked per n
+    b = [0] * (n_max + 1)
     mismatches = []
     for n in range(1, n_max + 1):
         h = n // 2
@@ -193,6 +220,7 @@ def verify_halving_identity(A: CountingSequence, n_max: int) -> RecurrenceReport
                 if p + q <= n:
                     mult = factorial(n) // (factorial(p) * factorial(q) * factorial(n - p - q))
                     acc += mult * b[p] * b[q] * a[n - p - q]
+        b[n] = acc
         if acc != via_series[n]:
             mismatches.append((n, via_series[n], acc))
     return RecurrenceReport(
@@ -201,7 +229,7 @@ def verify_halving_identity(A: CountingSequence, n_max: int) -> RecurrenceReport
         n_max=n_max,
         all_equal=not mismatches,
         mismatches=tuple(mismatches),
-        values=tuple(via_series),
+        values=via_series,
     )
 
 
@@ -248,8 +276,8 @@ def lift_consistency(n_max: int, m_max: int) -> LiftReport:
 
         parts(linear_orders(2))(n, m) = n! * parts(permutations)(n, m)
 
-    for all n, m.  The two sides are computed through independent pipelines
-    (labeled EGF inversion vs unlabeled OGF inversion).
+    for all n, m.  The two sides are computed from different inputs and
+    weights (labeled convolutions with binomials vs unlabeled ones).
     """
     from .catalog import linear_orders, permutations
 

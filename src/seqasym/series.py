@@ -20,7 +20,7 @@ identity in unlabeled mode (ordinary generating function);
 :func:`series_to_counting` goes back, refusing labeled series whose
 coefficients are not of the form integer/n!.
 
->>> geometric = series_inverse(PowerSeries.from_ints([1, -1], order=5))
+>>> geometric = PowerSeries.from_ints([1, -1], order=5).inverse()
 >>> geometric.coefficients
 (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
 """
@@ -36,13 +36,6 @@ from .errors import BadConstantTerm, NonIntegerCount, ZeroConstantTerm
 
 __all__ = [
     "PowerSeries",
-    "series_add",
-    "series_sub",
-    "series_mul",
-    "series_inverse",
-    "series_pow",
-    "series_exp",
-    "series_log",
     "counting_to_series",
     "series_to_counting",
 ]
@@ -180,39 +173,6 @@ class PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Free-function aliases for the operation names used throughout the project.
-# ---------------------------------------------------------------------------
-
-
-def series_add(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    return f + g
-
-
-def series_sub(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    return f - g
-
-
-def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    return f * g
-
-
-def series_inverse(f: PowerSeries) -> PowerSeries:
-    return f.inverse()
-
-
-def series_pow(f: PowerSeries, m: int) -> PowerSeries:
-    return f.pow(m)
-
-
-def series_exp(f: PowerSeries) -> PowerSeries:
-    return f.exp()
-
-
-def series_log(f: PowerSeries) -> PowerSeries:
-    return f.log()
-
-
-# ---------------------------------------------------------------------------
 # Counting values <-> generating functions
 # ---------------------------------------------------------------------------
 
@@ -252,8 +212,3 @@ def series_to_counting(f: PowerSeries, labeling: str) -> tuple[int, ...]:
         out.append(int(v))
     return tuple(out)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -51,14 +51,6 @@ def _skip(name: str, detail: str) -> Check:
     return Check(name, "skip", detail)
 
 
-_FACTORY = {
-    "tournaments": catalog.tournaments,
-    "permutations": catalog.permutations,
-    "matchings": catalog.matchings,
-    "unlabeled_tournaments": lambda d=1: catalog.unlabeled_tournaments(),
-}
-
-
 # ---------------------------------------------------------------------------
 # appendix: recompute all sixteen frozen tables
 # ---------------------------------------------------------------------------
@@ -69,7 +61,7 @@ def suite_appendix() -> list[Check]:
     for key in APPENDIX_ORDER:
         class_key, d, kind = key
         ref = REFERENCE_TABLES[key]
-        A = _FACTORY[class_key](d)
+        A = catalog.resolve_class(class_key, d)
         ncols = len(ref.rows[0])
         hi = ref.start_index + ncols - 1
         name = f"table-{ref.golden_index}-{class_key}-d{d}-{kind}"
@@ -123,7 +115,7 @@ def suite_oracle(budget: int | None = None, workers: int = 1) -> list[Check]:
         if budget is not None and worst > budget:
             checks.append(_skip(name, f"{worst} objects exceed budget {budget}"))
             continue
-        A = _FACTORY[kind](d)
+        A = catalog.resolve_class(kind, d)
         expected = parts_table(A, n_max, n_max)
         bad = None
         for n in range(1, n_max + 1):
@@ -250,7 +242,7 @@ def suite_residual_order() -> list[Check]:
     """
     checks = []
     for class_key, m_hi, r_hi, grid in _RESIDUAL_GRID:
-        A = _FACTORY[class_key](1)
+        A = catalog.resolve_class(class_key)
         coeffs = seq_coefficients(A, m_hi, r_hi + 2)
         parts = parts_table(A, m_hi, grid[-1])
         for m in range(1, m_hi + 1):

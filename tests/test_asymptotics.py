@@ -37,13 +37,7 @@ from seqasym.series import PowerSeries, counting_to_series, series_to_counting
 def test_coefficient_tables_match_frozen_data(key):
     class_key, d, _ = key
     ref = REFERENCE_TABLES[key]
-    factories = {
-        "tournaments": catalog.tournaments,
-        "permutations": catalog.permutations,
-        "matchings": catalog.matchings,
-        "unlabeled_tournaments": lambda d: catalog.unlabeled_tournaments(),
-    }
-    A = factories[class_key](d)
+    A = catalog.resolve_class(class_key, d)
     hi = ref.start_index + len(ref.rows[0]) - 1
     table = seq_coefficients(A, 5, hi)
     for m in range(1, 6):
@@ -110,6 +104,18 @@ def test_cycle_class_counts(tournaments1):
     cc = cyc_class(tournaments1)
     assert cc.values(6) == [1, 1, 1, 4, 38, 728, 26704]
     assert cc.labeling == "labeled"
+
+
+@pytest.mark.parametrize(
+    "A",
+    [c for c in catalog.catalog_classes(3) if c.labeling == "labeled"],
+    ids=lambda A: A.name,
+)
+def test_cycle_class_matches_log_series(A):
+    """The integer recurrence agrees with n!·[z^n](-log(1-B)) over Fraction series."""
+    n_max = 20
+    log_inv = -(PowerSeries.one(n_max) - irreducible_series(A, n_max)).log()
+    assert cyc_class(A).values(n_max)[1:] == list(series_to_counting(log_inv, "labeled")[1:])
 
 
 def test_cycle_part_counts_sum_to_class(tournaments1):

@@ -64,6 +64,8 @@ def test_describe_mentions_labeling_and_period():
 def test_resolve_class_and_unknown():
     A = catalog.resolve_class("tournaments", 2)
     assert A.name == "tournaments(d=2)"
+    # classes without a d parameter ignore it
+    assert catalog.resolve_class("unlabeled_tournaments", 3).name == "unlabeled_tournaments"
     with pytest.raises(UnknownClass):
         catalog.resolve_class("nosuch")
 

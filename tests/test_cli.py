@@ -111,6 +111,16 @@ def test_table_custom_file(runner, tmp_path):
     assert json.loads(named.stdout)["result"]["class"] == "evens"
 
 
+def test_table_custom_file_with_huge_count(runner, tmp_path):
+    digits = "1234567890" * 500 + "1"  # 5001 digits, past the default str limit
+    f = tmp_path / "huge.seq"
+    f.write_text(f"labeling: unlabeled\n1\n{digits}\n")
+    res = invoke(runner, "table", "--custom", str(f), "--m", "1", "--n", "1",
+                 "--format", "json")
+    assert res.exit_code == 0
+    assert digits in res.stdout
+
+
 def test_table_needs_some_class(runner):
     res = invoke(runner, "table")
     assert res.exit_code == 2
@@ -136,6 +146,27 @@ def test_expansion_rejects_m_ranges(runner):
     )
     assert res.exit_code == 2
     assert "RangeError" in res.output
+
+
+def test_expansion_rejects_zero_parts(runner):
+    res = invoke(runner, "expansion", "--class", "tournaments", "--n", "10", "--m", "0")
+    assert res.exit_code == 2
+    assert res.output.startswith("RangeError: --m must be at least 1")
+    assert "table bounds" not in res.output
+
+
+def test_expansion_rejects_size_below_terms(runner):
+    res = invoke(runner, "expansion", "--class", "tournaments", "--n", "3", "--terms", "5")
+    assert res.exit_code == 2
+    assert "--n 3 is too small for --terms 5: need --n >= 6" in res.output
+    assert "indices start at 0" not in res.output
+    res = invoke(runner, "expansion", "--class", "tournaments", "--n", "3", "--terms", "-1")
+    assert res.exit_code == 2
+    assert res.output.startswith("RangeError: --terms must be nonnegative")
+    # a 2-periodic labeled class steps the expansion index by its period
+    res = invoke(runner, "expansion", "--class", "linear_matchings", "--n", "8", "--terms", "4")
+    assert res.exit_code == 2
+    assert "need --n >= 10" in res.output
 
 
 def test_expansion_json_carries_exact_rationals(runner):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from seqasym import catalog
 from seqasym.decomposition import (
+    convolve,
     irreducible_series,
     lift_consistency,
     parts_table,
@@ -18,6 +19,14 @@ from seqasym.decomposition import (
 from seqasym.errors import NegativeIrreducibleCount, PeriodMismatch, RangeError
 from seqasym.reference_tables import REFERENCE_TABLES
 from seqasym.series import PowerSeries, counting_to_series, series_to_counting
+
+
+def test_convolve_weights():
+    ones = [1] * 7
+    # e^z · e^z = e^{2z} labeled; 1/(1-z)^2 unlabeled
+    assert convolve(ones, ones, labeled=True) == [2**n for n in range(7)]
+    assert convolve(ones, ones, labeled=False) == [n + 1 for n in range(7)]
+    assert convolve(ones, ones[:3], labeled=False) == [1, 2, 3]
 
 
 def test_irreducible_tournaments_prefix(tournaments1):
@@ -34,13 +43,7 @@ def test_irreducible_tournaments_prefix(tournaments1):
 def test_parts_tables_match_frozen_data(key):
     class_key, d, _ = key
     ref = REFERENCE_TABLES[key]
-    factories = {
-        "tournaments": catalog.tournaments,
-        "permutations": catalog.permutations,
-        "matchings": catalog.matchings,
-        "unlabeled_tournaments": lambda d: catalog.unlabeled_tournaments(),
-    }
-    A = factories[class_key](d)
+    A = catalog.resolve_class(class_key, d)
     hi = ref.start_index + len(ref.rows[0]) - 1
     table = parts_table(A, 5, hi)
     for m in range(1, 6):

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from seqasym.errors import BadConstantTerm, NonIntegerCount, ZeroConstantTerm
-from seqasym.series import (
-    PowerSeries,
-    counting_to_series,
-    series_exp,
-    series_inverse,
-    series_log,
-    series_to_counting,
-)
+from seqasym.series import PowerSeries, counting_to_series, series_to_counting
 
 ORDER = 6
 
@@ -28,7 +21,7 @@ def series_strategy(order: int = ORDER, nonzero_constant: bool = False):
 
 
 def test_geometric_series():
-    geom = series_inverse(PowerSeries.from_ints([1, -1], order=5))
+    geom = PowerSeries.from_ints([1, -1], order=5).inverse()
     assert geom.coefficients == (Fraction(1),) * 6
 
 
@@ -83,14 +76,14 @@ def test_exp_differential_recurrence_matches_factorials():
 
 def test_inverse_needs_unit_constant():
     with pytest.raises(ZeroConstantTerm):
-        series_inverse(PowerSeries.from_ints([0, 1]))
+        PowerSeries.from_ints([0, 1]).inverse()
 
 
 def test_exp_log_constant_term_contracts():
     with pytest.raises(BadConstantTerm):
-        series_exp(PowerSeries.from_ints([1, 1]))
+        PowerSeries.from_ints([1, 1]).exp()
     with pytest.raises(BadConstantTerm):
-        series_log(PowerSeries.from_ints([2, 1]))
+        PowerSeries.from_ints([2, 1]).log()
 
 
 def test_tournament_egf_plus_all_ones():
