@@ -59,7 +59,7 @@ def main(argv=None):
     all_ok = True
     for kind, d in grid:
         n_max = args.n_max or default_oracle_size(kind, d)
-        if args.budget and object_count(kind, n_max, d) > args.budget:
+        if args.budget is not None and object_count(kind, n_max, d) > args.budget:
             print(f"{kind}(d={d}): skipped, {object_count(kind, n_max, d):,} "
                   f"objects at n={n_max} exceeds budget {args.budget:,}")
             continue

@@ -23,7 +23,7 @@ from .asymptotics import (
 from .audit import audit
 from .decomposition import parts_table
 from .errors import RangeError, SeqasymError
-from .oracle import ORACLE_KINDS, oracle_for
+from .oracle import _FALLBACK_BUDGET, ORACLE_KINDS, oracle_for
 from .render import approx, frac_str, grid_csv, grid_markdown, json_document
 from .suites import SUITE_NAMES, run_suite
 
@@ -303,7 +303,7 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
 @main.command("verify")
 @click.option("--suite", type=click.Choice(list(SUITE_NAMES)), required=True)
 @click.option("--budget", type=int, default=None, help="skip oracle checks above this")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="md", show_default=True)
 def cmd_verify(suite, budget, workers, fmt):
     """Run a verification suite; exit 1 if any check fails."""
@@ -426,8 +426,14 @@ def cmd_audit(class_name, d, N, fmt, custom):
 )
 @click.option("--n", "n_value", type=int, required=True)
 @click.option("--d", "d", type=int, default=1, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
-@click.option("--budget", type=int, default=None)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option(
+    "--budget",
+    type=int,
+    default=_FALLBACK_BUDGET,
+    show_default=True,
+    help="refuse to enumerate more objects than this",
+)
 @click.option("--format", "fmt", type=FORMATS, default="md", show_default=True)
 def cmd_oracle(class_name, n_value, d, workers, budget, fmt):
     """Enumerate every object of one size and count parts directly."""

@@ -7,7 +7,13 @@ objects themselves.  The oracles know nothing about generating functions:
 * tournaments(d): all (d+1)^C(n,2) assignments of pair outcomes (the value
   of a pair {i,j}, i<j, is how many of the d games i won); vertex i beats j
   if it won at least one game; parts = strongly connected components of the
-  beat digraph, which always condense to a chain (asserted when m > 1);
+  beat digraph.  For d >= 2 (semicomplete digraphs) these come from Tarjan's
+  algorithm, and the condensation is asserted to be a chain when m > 1.  For
+  d = 1 the 2^C(n,2) tournaments are walked in reflected Gray-code order,
+  one arc flip and two score updates per step, and each distinct score
+  vector gets its part count from Landau's score rule: the number of k for
+  which the k smallest scores sum to C(k,2) (Landau 1953; Moon, Topics on
+  Tournaments, 1968);
 * permutations(d): all (n!)^d tuples; a position k is a breakpoint if every
   member maps {1..k} to itself; parts = common breakpoints, computed by
   AND-ing per-member prefix-maximum bitmasks;
@@ -15,9 +21,11 @@ objects themselves.  The oracles know nothing about generating functions:
   breakpoints are the even prefixes closed under every member;
 * unlabeled tournaments: one representative per isomorphism orbit, found by
   ascending scan with orbit marking (the first unvisited code is the
-  lexicographically minimal member of a fresh orbit).
+  lexicographically minimal member of a fresh orbit); parts come from
+  Tarjan's algorithm with the chain assertion, as for d >= 2.
 
-Enumeration order is a fixed odometer over a flat index space, so results
+Enumeration order is fixed over a flat index space (an odometer; for d=1
+tournaments, index t visits Gray code t ^ (t >> 1), a bijection), so results
 are deterministic, and any sharding of the index range merges to the same
 counts.  Shards run sequentially; the ``workers`` knob controls only how the
 range is split, never the arithmetic.
@@ -210,8 +218,17 @@ def enumerate_tournament_parts(
     base = d + 1
     total = base**P
     counts: Counter[int] = Counter()
-    for lo, hi in _shard_ranges(total, workers):
-        counts.update(_tournament_shard(n, d, pairs, base, lo, hi))
+    if d == 1:
+        tally: Counter[int] = Counter()
+        for lo, hi in _shard_ranges(total, workers):
+            shard = _score_walk(n, pairs, lo, hi)
+            assert sum(shard.values()) == hi - lo, "shard skipped or repeated codes"
+            tally.update(shard)
+        for key, c in tally.items():
+            counts[_landau_parts(n, key)] += c
+    else:
+        for lo, hi in _shard_ranges(total, workers):
+            counts.update(_tournament_shard(n, d, pairs, base, lo, hi))
     elapsed = time.perf_counter() - t0
     return OracleResult(
         class_name=f"tournaments(d={d})",
@@ -250,6 +267,55 @@ def _tournament_shard(
                 break
             digits[idx] = 0
     return counts
+
+
+def _score_walk(n: int, pairs: list[tuple[int, int]], lo: int, hi: int) -> dict[int, int]:
+    """Tally of score-vector keys over the tournaments with Gray codes
+    ``t ^ (t >> 1)`` for ``lo <= t < hi``.
+
+    Bit ``idx`` of a code set means ``pairs[idx] = (i, j)`` has i beating j.
+    The key of a score vector is ``sum(score[v] * n**v)``; step t flips arc
+    ``ctz(t)``, which moves the key by ``+-(n**i - n**j)``.
+    """
+    powers = [n**v for v in range(n)]
+    delta = [powers[i] - powers[j] for i, j in pairs]
+    code = lo ^ (lo >> 1)
+    key = sum(
+        powers[i] if (code >> idx) & 1 else powers[j] for idx, (i, j) in enumerate(pairs)
+    )
+    tally = {key: 1} if hi > lo else {}
+    get = tally.get
+    for t in range(lo + 1, hi):
+        low = t & -t
+        # the flipped bit of t ^ (t >> 1) is now the complement of t's next bit
+        if t & (low << 1):
+            key -= delta[low.bit_length() - 1]
+        else:
+            key += delta[low.bit_length() - 1]
+        tally[key] = get(key, 0) + 1
+    return tally
+
+
+def _landau_parts(n: int, key: int) -> int:
+    """Strong components of any tournament with this score-vector key.
+
+    Landau's rule: the count of k for which the k smallest scores sum to
+    C(k,2).  Asserts the vector is a score sequence (total C(n,2), every
+    sorted prefix of length k at least C(k,2)).
+    """
+    scores = []
+    for _ in range(n):
+        key, s = divmod(key, n)
+        scores.append(s)
+    scores.sort()
+    parts = prefix = 0
+    for k, s in enumerate(scores, start=1):
+        prefix += s
+        floor = k * (k - 1) // 2
+        assert prefix >= floor, "not a score sequence"
+        parts += prefix == floor
+    assert prefix == n * (n - 1) // 2, "not a score sequence"
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,13 @@ def test_verify_oracle_budget_skips_everything(runner):
     assert res.stdout.count("skip") >= 7
 
 
+@pytest.mark.parametrize("suite", ["oracle", "appendix"])
+def test_verify_rejects_nonpositive_workers(runner, suite):
+    res = invoke(runner, "verify", "--suite", suite, "--workers", "0", "--budget", "10")
+    assert res.exit_code == 2
+    assert "--workers" in res.output
+
+
 def test_verify_json_format(runner):
     res = invoke(runner, "verify", "--suite", "comtet", "--format", "json")
     doc = json.loads(res.stdout)
@@ -297,6 +304,18 @@ def test_oracle_budget_exit_code(runner):
     res = invoke(runner, "oracle", "--class", "tournaments", "--n", "6", "--budget", "10")
     assert res.exit_code == 3
     assert "BudgetExceeded" in res.output
+
+
+def test_oracle_default_budget_refuses_before_allocating(runner):
+    res = invoke(runner, "oracle", "--class", "unlabeled_tournaments", "--n", "9")
+    assert res.exit_code == 3
+    assert "BudgetExceeded" in res.output and "budget 3000000" in res.output
+
+
+def test_oracle_rejects_nonpositive_workers(runner):
+    res = invoke(runner, "oracle", "--class", "permutations", "--n", "3", "--workers", "0")
+    assert res.exit_code == 2
+    assert "--workers" in res.output
 
 
 def test_unknown_class_exit_code(runner):

@@ -1,6 +1,9 @@
-"""Brute-force enumerators: frozen small cases, sharding, budgets, canonicalization."""
+"""Brute-force enumerators: frozen small cases, sharding, budgets, canonicalization,
+Landau's score rule against Tarjan."""
 
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,11 @@ from seqasym import catalog
 from seqasym.decomposition import parts_table
 from seqasym.errors import BudgetExceeded, RangeError, UnknownClass
 from seqasym.oracle import (
+    _code_adjacency,
+    _condensation_is_chain,
+    _landau_parts,
+    _pair_table,
+    _score_walk,
     _shard_ranges,
     _strong_components,
     canonical_tournament_code,
@@ -76,11 +84,20 @@ def test_unlabeled_enumeration_matches_counting_table():
         assert res.total_enumerated == A.value(n)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("workers", [1, 2, 3, 5, 7])
 def test_sharding_is_deterministic(workers):
     assert (
         enumerate_tournament_parts(4, workers=workers).counts_by_parts
         == enumerate_tournament_parts(4).counts_by_parts
+    )
+    # uneven shards start in the middle of the Gray-code sequence
+    assert (
+        enumerate_tournament_parts(6, workers=workers).counts_by_parts
+        == enumerate_tournament_parts(6).counts_by_parts
+    )
+    assert (
+        enumerate_tournament_parts(3, d=2, workers=workers).counts_by_parts
+        == enumerate_tournament_parts(3, d=2).counts_by_parts
     )
     assert (
         enumerate_permutation_parts(4, d=2, workers=workers).counts_by_parts
@@ -94,6 +111,38 @@ def test_sharding_is_deterministic(workers):
         enumerate_unlabeled_tournament_parts(5, workers=workers).counts_by_parts
         == enumerate_unlabeled_tournament_parts(5).counts_by_parts
     )
+
+
+def _score_key(scores):
+    n = len(scores)
+    return sum(s * n**v for v, s in enumerate(scores))
+
+
+def test_landau_rule_on_known_tournaments():
+    for n in range(1, 8):
+        assert _landau_parts(n, _score_key(list(range(n)))) == n  # transitive
+    assert _landau_parts(5, _score_key([2] * 5)) == 1  # regular on 5 vertices
+    with pytest.raises(AssertionError):
+        _landau_parts(4, _score_key([0, 0, 3, 3]))  # two vertices of score 0
+    with pytest.raises(AssertionError):
+        _landau_parts(3, _score_key([2, 2, 2]))  # six wins in three games
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_landau_rule_matches_tarjan_on_every_tournament(n):
+    """Score rule against Tarjan and the chain assertion, code by code, and
+    the Gray-code walk against the score vectors read off every code."""
+    pairs, _ = _pair_table(n)
+    direct = Counter()
+    for code in range(1 << len(pairs)):
+        adj = _code_adjacency(code, n, pairs)
+        key = _score_key([row.bit_count() for row in adj])
+        m, comp = _strong_components(n, adj)
+        assert _landau_parts(n, key) == m, (n, code)
+        if m > 1:
+            assert _condensation_is_chain(n, adj, comp), (n, code)
+        direct[key] += 1
+    assert _score_walk(n, pairs, 0, 1 << len(pairs)) == direct
 
 
 def test_shard_ranges_partition_the_index_space():
@@ -182,3 +231,13 @@ def test_two_layer_superposition_cross_check():
             tally[ncomp] += 1
     assert dict(tally) == {1: 3608, 2: 392, 3: 72, 4: 24}
     assert sum(tally.values()) == object_count("tournaments", n, 1) ** 2
+
+
+def test_crosscheck_script_honours_zero_budget(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_crosscheck.py"
+    spec = importlib.util.spec_from_file_location("oracle_crosscheck", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--budget", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("skipped") == len(script.DEFAULT_GRID)
