@@ -19,6 +19,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--N", type=int, default=60)
     args = parser.parse_args(argv)
+    if args.N < 10:
+        parser.error(f"--N must be >= 10 (the audit needs a tail), got {args.N}")
 
     print(f"# growth audits at N={args.N}\n")
     print("| class | verdict | last ratio | linear bound | midpoint |")

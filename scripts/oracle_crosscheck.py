@@ -54,6 +54,8 @@ def main(argv=None):
     parser.add_argument("--budget", type=int, default=None,
                         help="refuse any single enumeration larger than this")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
 
     grid = [(args.kind, args.d)] if args.kind else list(DEFAULT_GRID)
     all_ok = True

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate every frozen reference table from the series pipeline and diff.
+"""Regenerate every frozen reference table from the integer core and diff.
 
 Prints each table in markdown, checks it against the frozen module data, and
 reports total wall time.  Exit status 1 on any mismatch.

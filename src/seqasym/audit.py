@@ -21,13 +21,23 @@ witnesses: n·u_{n-1} = O(u_n) (witnessed by the largest observed n·u_{n-1}/u_n
 and |u_k u_{n-k}| nonincreasing for 1 <= k < n/2 (first violation recorded).
 Either flag may be False for a sequence that is nonetheless gargantuan; the
 flags are evidence for a *sufficient* criterion, not for the property itself.
+
+The convolution traces and the midpoint test run on integers.  With L the
+lcm of the denominators of u_0..u_N, P_k = u_k·L and h_k = |P_k P_{n-k}|,
+
+    S_{n,r} = (sum_{k=r}^{n-r} h_k) / (L·P_{n-r}),
+
+summed by the symmetry h_k = h_{n-k}, and |u_k u_{n-k}| < |u_{k+1} u_{n-k-1}|
+is h_k < h_{k+1}, since the common factor L² cancels.  One pass over n shares
+the half products h_k (k <= n/2) between both; a Fraction is built only for
+each reported S_{n,r}, in lowest terms like every other trace value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence, Union
 
 from .catalog import CountingSequence
@@ -80,15 +90,6 @@ def reduced_values(A: CountingSequence, N: int) -> list[Fraction]:
     return out
 
 
-def _midpoint_violations(u: Sequence[Fraction], n: int) -> list[int]:
-    """k values with |u_k u_{n-k}| < |u_{k+1} u_{n-k-1}| and k+1 <= n//2."""
-    bad = []
-    for k in range(1, n // 2):
-        if abs(u[k] * u[n - k]) < abs(u[k + 1] * u[n - k - 1]):
-            bad.append(k)
-    return bad
-
-
 def audit_sequence(
     name: str, values: Sequence[Rational], N: int, r_max: int = 3
 ) -> AuditReport:
@@ -121,34 +122,40 @@ def audit_sequence(
 
     ratios = tuple(u[n - 1] / u[n] for n in range(1, N + 1))
 
-    conv: dict[int, tuple[Fraction, ...]] = {}
-    for r in range(1, r_max + 1):
-        trace = []
-        for n in range(2 * r, N + 1):
-            s = sum(abs(u[k] * u[n - k]) for k in range(r, n - r + 1))
-            trace.append(s / u[n - r])
-        conv[r] = tuple(trace)
-
     # Sufficient-condition flags (Lemma-style, over the whole range).
     linear = [n * ratios[n - 1] for n in range(1, N + 1)]
     witness = max(linear)
     tail_start = N - N // 4 + 1
     linear_ok = max(linear[tail_start - 1 :]) <= max(linear[: tail_start - 1])
 
+    # Convolution traces and midpoint test in one integer pass over n (see
+    # the module docstring): P_k = u_k·L and w_k = |P_k|.
+    L = lcm(*(x.denominator for x in u))
+    P = [x.numerator * (L // x.denominator) for x in u]
+    w = [abs(p) for p in P]
+    conv_lists: dict[int, list[Fraction]] = {r: [] for r in range(1, r_max + 1)}
     first_violation = None
+    bad_tail = 0
     for n in range(2, N + 1):
-        bad = _midpoint_violations(u, n)
-        if bad:
-            first_violation = (n, bad[0])
-            break
+        half = n // 2
+        h = [0] + [w[k] * w[n - k] for k in range(1, half + 1)]  # h[k], k <= n/2
+        bad = next((k for k in range(1, half) if h[k] < h[k + 1]), None)
+        if bad is not None:
+            if first_violation is None:
+                first_violation = (n, bad)
+            if n >= tail_start:
+                bad_tail += 1
+        s = 2 * sum(h) - (h[half] if n % 2 == 0 else 0)  # sum_{k=1}^{n-1} h_k
+        for r in range(1, min(r_max, half) + 1):
+            conv_lists[r].append(Fraction(s, L * P[n - r]))
+            s -= 2 * h[r]
+    conv = {r: tuple(trace) for r, trace in conv_lists.items()}
 
     # Verdict: does the ratio trace keep shrinking across the tail, and does
     # midpoint monotonicity hold at more than half of the tail sizes?
     r_start, r_end = ratios[tail_start - 1], ratios[N - 1]
     shrinks = r_end < r_start and 10 * r_end <= 9 * r_start
-    tail_sizes = range(tail_start, N + 1)
-    bad_tail = sum(1 for n in tail_sizes if _midpoint_violations(u, n))
-    persistent = 2 * bad_tail > len(tail_sizes)
+    persistent = 2 * bad_tail > N - tail_start + 1
     verdict = "evidence-consistent" if shrinks and not persistent else "visibly-failing"
 
     return AuditReport(

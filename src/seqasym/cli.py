@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error, 3 budget
 exceeded.  All machine output (csv/json) is exact and byte-deterministic for
 a fixed configuration; human output may add 6-significant-digit decimals
-marked "(approx)" and may write timings to stderr.
+marked "(approx)".  Timings go to stderr only: ``audit`` and ``verify``
+always end with ``elapsed: X.XXXs`` there, ``oracle`` in human formats.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 
 import click
 
@@ -309,7 +311,9 @@ def cmd_verify(suite, budget, workers, fmt):
     """Run a verification suite; exit 1 if any check fails."""
 
     def body():
+        t0 = time.perf_counter()
         checks = run_suite(suite, budget=budget, workers=workers)
+        elapsed = time.perf_counter() - t0
         n_fail = sum(1 for c in checks if c.status == "fail")
         n_skip = sum(1 for c in checks if c.status == "skip")
         n_ok = len(checks) - n_fail - n_skip
@@ -339,6 +343,7 @@ def cmd_verify(suite, budget, workers, fmt):
             click.echo(
                 f"suite {suite}: {n_ok} ok, {n_fail} failed, {n_skip} skipped"
             )
+        click.echo(f"elapsed: {elapsed:.3f}s", err=True)
         if n_fail:
             sys.exit(1)
 
@@ -360,8 +365,10 @@ def cmd_audit(class_name, d, N, fmt, custom):
     """Audit the reduced counting sequence for gargantuan-style decay."""
 
     def body():
+        t0 = time.perf_counter()
         A = _resolve(class_name, d, custom)
         report = audit(A, N)
+        elapsed = time.perf_counter() - t0
         config = {
             "command": "audit",
             "class": A.name,
@@ -411,6 +418,7 @@ def cmd_audit(class_name, d, N, fmt, custom):
             human_lines.append(f"note: {note}")
         human_lines.append("finite-range evidence only; no verdict proves the limit.")
         _emit(fmt, config, result, "\n".join(human_lines))
+        click.echo(f"elapsed: {elapsed:.3f}s", err=True)
 
     _run(body)
 

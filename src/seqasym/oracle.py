@@ -20,8 +20,9 @@ objects themselves.  The oracles know nothing about generating functions:
 * matchings(d): all ((2n-1)!!)^d tuples of perfect matchings of {1..2n};
   breakpoints are the even prefixes closed under every member;
 * unlabeled tournaments: one representative per isomorphism orbit, found by
-  ascending scan with orbit marking (the first unvisited code is the
-  lexicographically minimal member of a fresh orbit); parts come from
+  ascending scan with orbit marking over one table shared by all shards
+  (the first unvisited code is the minimal member of a fresh orbit, so each
+  orbit is expanded once whatever the sharding); parts come from
   Tarjan's algorithm with the chain assertion, as for d >= 2.
 
 Enumeration order is fixed over a flat index space (an odometer; for d=1
@@ -490,8 +491,9 @@ def enumerate_unlabeled_tournament_parts(
     """Part-count distribution over isomorphism classes of tournaments.
 
     Scans codes in ascending order; the first unvisited code is the minimal
-    member of a fresh orbit and serves as its representative.  Sharded runs
-    count an orbit only in the shard that owns its global minimum.
+    member of a fresh orbit and serves as its representative.  The shards are
+    walked in order over one shared ``visited`` table, so every orbit is
+    expanded and counted once, in the shard that holds its global minimum.
     """
     if n < 1:
         raise RangeError("need n >= 1")
@@ -502,17 +504,15 @@ def enumerate_unlabeled_tournament_parts(
     total_codes = 1 << len(pairs)
     counts: Counter[int] = Counter()
     orbits = 0
+    visited = bytearray(total_codes)
     for lo, hi in _shard_ranges(total_codes, workers):
-        visited = bytearray(hi - lo)
         for code in range(lo, hi):
-            if visited[code - lo]:
+            if visited[code]:
                 continue
             orbit = {_apply_action(code, row) for row in actions}
             for c in orbit:
-                if lo <= c < hi:
-                    visited[c - lo] = 1
-            if min(orbit) < lo:
-                continue  # counted by an earlier shard
+                visited[c] = 1
+            assert min(orbit) == code  # earlier codes of the orbit are visited
             adj = _code_adjacency(code, n, pairs)
             m, comp = _strong_components(n, adj)
             if m > 1:

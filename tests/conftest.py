@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from seqasym import catalog
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -21,4 +27,19 @@ def rationals(max_num: int = 20, max_den: int = 12):
 
     return st.fractions(
         min_value=Fraction(-max_num), max_value=Fraction(max_num), max_denominator=max_den
+    )
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run scripts/<name> in a fresh interpreter with the package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )

@@ -1,12 +1,17 @@
 """Finite-range growth audits: traces, flags, verdicts, closure checks."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from conftest import rationals, run_script
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqasym import catalog
 from seqasym.audit import (
+    AuditReport,
     audit,
     audit_sequence,
     perturbation_check,
@@ -16,6 +21,48 @@ from seqasym.audit import (
 from seqasym.errors import RangeError
 
 SURVEY_N = 40
+
+
+def fraction_reference(name, values, N, r_max):
+    """The non-zero branch of ``audit_sequence`` transcribed from its
+    definitions in Fraction arithmetic: S_{n,r} summed term by term, and the
+    midpoint test rescanned at every size."""
+    u = [Fraction(v) for v in values[: N + 1]]
+    ratios = tuple(u[n - 1] / u[n] for n in range(1, N + 1))
+    conv = {
+        r: tuple(
+            sum(abs(u[k] * u[n - k]) for k in range(r, n - r + 1)) / u[n - r]
+            for n in range(2 * r, N + 1)
+        )
+        for r in range(1, r_max + 1)
+    }
+
+    def violations(n):
+        return [
+            k
+            for k in range(1, n // 2)
+            if abs(u[k] * u[n - k]) < abs(u[k + 1] * u[n - k - 1])
+        ]
+
+    linear = [n * ratios[n - 1] for n in range(1, N + 1)]
+    tail_start = N - N // 4 + 1
+    first = next(((n, violations(n)[0]) for n in range(2, N + 1) if violations(n)), None)
+    r_start, r_end = ratios[tail_start - 1], ratios[N - 1]
+    shrinks = r_end < r_start and 10 * r_end <= 9 * r_start
+    bad_tail = sum(1 for n in range(tail_start, N + 1) if violations(n))
+    persistent = 2 * bad_tail > N - tail_start + 1
+    return AuditReport(
+        class_name=name,
+        N=N,
+        r_max=r_max,
+        ratio_trace=ratios,
+        convolution_trace=conv,
+        ratio_linear_bound=max(linear[tail_start - 1 :]) <= max(linear[: tail_start - 1]),
+        ratio_linear_witness=max(linear),
+        midpoint_monotone=first is None,
+        midpoint_first_violation=first,
+        verdict="evidence-consistent" if shrinks and not persistent else "visibly-failing",
+    )
 
 EXPECTED_VERDICTS = {
     "tournaments(d=1)": "evidence-consistent",
@@ -154,3 +201,43 @@ def test_perturbation_length_checks(tournaments1):
         perturbation_check(tournaments1, [0] * 10, 1, 20)
     with pytest.raises(RangeError):
         perturbation_check([1] * 10, [0] * 30, 1, 20)
+
+
+@pytest.mark.parametrize("A", catalog.catalog_classes(3), ids=lambda A: A.name)
+def test_integer_traces_match_fraction_reference(A):
+    rep = audit(A, SURVEY_N)
+    assert rep == fraction_reference(
+        rep.class_name, reduced_values(A, SURVEY_N), SURVEY_N, 3
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(10, 24).flatmap(
+        lambda N: st.tuples(st.just(N), st.lists(rationals(), min_size=N + 1, max_size=N + 1))
+    ),
+    st.integers(1, 5),
+)
+def test_signed_sequences_match_fraction_reference(N_values, r_max):
+    N, values = N_values
+    assume(all(v != 0 for v in values[1:]))  # u_0 = 0 is allowed
+    assert audit_sequence("signed", values, N, r_max) == fraction_reference(
+        "signed", values, N, r_max
+    )
+
+
+def test_negative_perturbation_matches_fraction_reference(tournaments1):
+    # c_n = u_n - 3/2 changes sign: c_1 = c_2 = -1/2, c_3 = -1/6, c_4 > 0.
+    b = [Fraction(-3, 2)] * (SURVEY_N + 1)
+    rep = perturbation_check(tournaments1, b, 1, SURVEY_N)
+    c = [x + y for x, y in zip(reduced_values(tournaments1, SURVEY_N), b)]
+    assert c[1] < 0 < c[4]
+    assert rep == replace(
+        fraction_reference(rep.class_name, c, SURVEY_N, 3), notes=rep.notes
+    )
+
+
+def test_survey_script_rejects_small_N():
+    res = run_script("audit_survey.py", "--N", "5")
+    assert res.returncode == 2
+    assert "--N" in res.stderr and "Traceback" not in res.stderr

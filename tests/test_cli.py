@@ -247,6 +247,10 @@ def test_verify_json_format(runner):
     checks = doc["result"]["checks"]
     assert all(c["status"] == "ok" for c in checks)
     assert checks[0]["name"] == "comtet-numerators"
+    # byte-deterministic stdout; stage time goes to stderr only
+    again = invoke(runner, "verify", "--suite", "comtet", "--format", "json")
+    assert again.stdout == res.stdout
+    assert "elapsed:" in res.stderr and "elapsed" not in res.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +272,8 @@ def test_audit_json_is_byte_deterministic(runner):
     doc = json.loads(a.stdout)
     assert doc["result"]["verdict"] == "evidence-consistent"
     assert doc["result"]["ratio_trace"][1] == "1"  # u_1/u_2 as exact rational text
+    # stage time goes to stderr only
+    assert "elapsed:" in a.stderr and "elapsed" not in a.stdout
 
 
 def test_audit_domain_error_exit_code(runner):

@@ -6,8 +6,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import run_script
 
-from seqasym import catalog
+from seqasym import catalog, oracle
 from seqasym.decomposition import parts_table
 from seqasym.errors import BudgetExceeded, RangeError, UnknownClass
 from seqasym.oracle import (
@@ -111,6 +112,24 @@ def test_sharding_is_deterministic(workers):
         enumerate_unlabeled_tournament_parts(5, workers=workers).counts_by_parts
         == enumerate_unlabeled_tournament_parts(5).counts_by_parts
     )
+
+
+def test_unlabeled_shards_expand_each_orbit_once(monkeypatch):
+    calls = Counter()
+    apply_action = oracle._apply_action
+
+    def counting(code, row):
+        calls["n"] += 1
+        return apply_action(code, row)
+
+    monkeypatch.setattr(oracle, "_apply_action", counting)
+    work = {}
+    for workers in (1, 7):
+        calls.clear()
+        res = enumerate_unlabeled_tournament_parts(5, workers=workers)
+        work[workers] = (calls["n"], res.total_enumerated, res.counts_by_parts)
+    assert work[1] == work[7]
+    assert work[1][0] == 12 * 120  # 12 orbits, one expansion by 5! relabelings
 
 
 def _score_key(scores):
@@ -241,3 +260,9 @@ def test_crosscheck_script_honours_zero_budget(capsys):
     assert script.main(["--budget", "0"]) == 0
     out = capsys.readouterr().out
     assert out.count("skipped") == len(script.DEFAULT_GRID)
+
+
+def test_crosscheck_script_rejects_nonpositive_workers():
+    res = run_script("oracle_crosscheck.py", "--workers", "0")
+    assert res.returncode == 2
+    assert "--workers" in res.stderr and "Traceback" not in res.stderr
