@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalog import CountingSequence
-from .decomposition import PartsTable, irreducible_counts, parts_table
+from .decomposition import PartsTable, irreducible_counts, part_count, parts_table
 from .errors import LeadingTermUndefined, RangeError, UnsupportedF
 from .series import PowerSeries
 
@@ -300,7 +300,7 @@ def evaluate_partial_sum(
 
     ``r`` is the number of correction terms: the partial sum runs over
     k = 0..r on the expansion index (multiplied by the period for periodic
-    classes).  The exact probability comes from the part-count table at size
+    classes).  The exact probability comes from one part-count entry at size
     n — an independent computation — and residual = exact - partial holds as
     an identity of rationals.  The normalized residual divides by the shape
     of the first omitted term.
@@ -319,9 +319,8 @@ def evaluate_partial_sum(
             raise RangeError(f"size {n} is not a multiple of the period {A.period}")
         if coefficients is None:
             coefficients = seq_coefficients(A, m, p * (r + 1))
-        if parts is None:
-            parts = parts_table(A, m, n)
-        exact = Fraction(parts.entries(n, m), A.value(n))
+        count = part_count(A, m, n) if parts is None else parts.entries(n, m)
+        exact = Fraction(count, A.value(n))
         note = ""
     elif construction == "cyc":
         if A.labeling != "labeled":
@@ -423,7 +422,7 @@ def cyc_part_count(A_seq: CountingSequence, m: int, n: int) -> int:
         raise RangeError("the cycle construction is defined for labeled classes")
     if m < 1:
         raise RangeError("m must be a positive integer")
-    count, rest = divmod(parts_table(A_seq, m, n).entries(n, m), m)
+    count, rest = divmod(part_count(A_seq, m, n), m)
     assert rest == 0, f"non-integer {m}-part cycle count at n={n}"
     return count
 

@@ -131,9 +131,9 @@ def cmd_table(class_name, d, kind, construction, m_range, k_range, n_range, fmt,
             elif construction == "cyc":
                 table = cyc_coefficients(A, m_hi, hi)
             else:
-                table = set_via_seq_coefficients(A, hi)
                 if m_hi > 1:
-                    raise RangeError("set coefficients exist only for m=1")
+                    raise RangeError("--m must be 1: set coefficients exist only for m=1")
+                table = set_via_seq_coefficients(A, hi)
             rows = [
                 (m, [table.entries(k, m) for k in range(lo, hi + 1)])
                 for m in range(m_lo, m_hi + 1)

@@ -19,11 +19,25 @@ two generating functions,
 
 The irreducible counts come from splitting off the first part of each object,
 
-    b_n = a_n - sum_{k=1}^{n-1} C(n,k) b_k a_{n-k},
+    b_n = a_n - sum_{k=1}^{n-1} C(n,k) b_k a_{n-k}.
 
-and row m+1 of a parts table is the convolution of row m with b.  A genuine
-class B can never have a negative count, so a negative computed entry is a
-hard error (NegativeIrreducibleCount): the input was not sequence-decomposable.
+Where a value a_j is a power of two (tournaments, multitournaments, the
+constant-1 class), the product b_k a_j is a left shift by log2 a_j; the test
+is made once per value and names no class.
+
+Row m+1 of a parts table is the convolution of row m with b.  A single entry
+needs only rows 0..m-1: :func:`part_count` returns
+
+    b_n^(m) = sum_k C(n,k) b_k^(m-1) b_{n-k},
+
+one dot product instead of the whole last row.
+
+A genuine class B can never have a negative count, so a negative computed
+entry is a hard error (NegativeIrreducibleCount): the input was not
+sequence-decomposable.  Row 1 is b itself, and a convolution of nonnegative
+rows is nonnegative, so one scan of b is the whole check: every later row is
+nonnegative once b is, and the first negative entry of any table lies in
+row 1.
 
 Two independent computations cross-check the integer route: the ``Fraction``
 series inversion B = 1 - 1/A (:func:`irreducible_series`), and the halving
@@ -51,6 +65,7 @@ __all__ = [
     "convolve",
     "irreducible_counts",
     "irreducible_series",
+    "part_count",
     "parts_table",
     "verify_simple_recurrence",
     "verify_halving_identity",
@@ -89,14 +104,27 @@ def irreducible_counts(A: CountingSequence, n_max: int) -> list[int]:
     if a[0] != 1:
         raise BadConstantTerm(f"{A.name}: a_0 must be 1, got {a[0]}")
     labeled = A.labeling == "labeled"
+    # log2 a_j where a_j is a power of two, else None
+    shift = [v.bit_length() - 1 if v > 0 and not v & (v - 1) else None for v in a]
     b = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
         acc = a[n]
         for k in range(1, n):
             if b[k] and a[n - k]:
-                acc -= (comb(n, k) * b[k] if labeled else b[k]) * a[n - k]
+                x = comb(n, k) * b[k] if labeled else b[k]
+                s = shift[n - k]
+                acc -= x * a[n - k] if s is None else x << s
         b[n] = acc
     return b
+
+
+def _require_decomposable(A: CountingSequence, b: Sequence[int]) -> None:
+    """Raise NegativeIrreducibleCount at the first negative irreducible count."""
+    for n, v in enumerate(b):
+        if v < 0:
+            raise NegativeIrreducibleCount(
+                f"{A.name}: b_{n}^(1) = {v} < 0; not sequence-decomposable"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +167,16 @@ def irreducible_series(A: CountingSequence, n_max: int) -> PowerSeries:
 def parts_table(A: CountingSequence, m_max: int, n_max: int) -> PartsTable:
     """All counting values of B^m for m <= m_max, n <= n_max.
 
-    Raises NegativeIrreducibleCount on the first negative entry: the class is
-    not a sequence of any genuine subclass.
+    Raises NegativeIrreducibleCount (when m_max >= 1) at the first negative
+    irreducible count: the class is not a sequence of any genuine subclass.
     """
     b = irreducible_counts(A, n_max)
+    if m_max >= 1:
+        _require_decomposable(A, b)
     labeled = A.labeling == "labeled"
     rows: list[tuple[int, ...]] = []
     counts = [1] + [0] * n_max
     for m in range(m_max + 1):
-        for n, v in enumerate(counts):
-            if v < 0:
-                raise NegativeIrreducibleCount(
-                    f"{A.name}: b_{n}^({m}) = {v} < 0; not sequence-decomposable"
-                )
         rows.append(tuple(counts))
         if m < m_max:
             counts = convolve(counts, b, labeled)
@@ -161,6 +186,29 @@ def parts_table(A: CountingSequence, m_max: int, n_max: int) -> PartsTable:
         n_max=n_max,
         m_max=m_max,
         _rows=tuple(rows),
+    )
+
+
+def part_count(A: CountingSequence, m: int, n: int) -> int:
+    """b_n^(m), equal to parts_table(A, m, n).entries(n, m), from one dot product.
+
+    Rows 0..m-1 are built by convolution; the last row is not: its entry n is
+    sum_k C(n,k) b_k^(m-1) b_{n-k}, O(n) work once row m-1 is known.
+    """
+    if n < 0 or m < 0:
+        raise RangeError(f"(n={n}, m={m}) outside table bounds n>=0, m>=0")
+    b = irreducible_counts(A, n)
+    if m == 0:
+        return int(n == 0)
+    _require_decomposable(A, b)
+    labeled = A.labeling == "labeled"
+    row = [1] + [0] * n
+    for _ in range(m - 1):
+        row = convolve(row, b, labeled)
+    return sum(
+        (comb(n, k) * row[k] if labeled else row[k]) * b[n - k]
+        for k in range(n + 1)
+        if row[k] and b[n - k]
     )
 
 

@@ -30,16 +30,21 @@ def rationals(max_num: int = 20, max_den: int = 12):
     )
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    """Run scripts/<name> in a fresh interpreter with the package on its path."""
+def run_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run scripts/<name> in a fresh interpreter with the package on its path."""
+    return run_python(str(ROOT / "scripts" / name), *args)

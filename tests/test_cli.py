@@ -8,6 +8,8 @@ from click.testing import CliRunner
 from seqasym.cli import main, parse_range
 from seqasym.errors import RangeError
 
+from conftest import run_python
+
 
 @pytest.fixture()
 def runner():
@@ -97,6 +99,18 @@ def test_table_set_construction_limits(runner):
         "--kind", "coefficients", "--m", "1..2", "--k", "0..5",
     )
     assert wide.exit_code == 2
+
+
+def test_table_set_rejects_many_parts_before_computing():
+    # Computing set coefficients up to k = 3000 takes minutes: the check must come first.
+    cmd = (
+        "from seqasym.cli import main; main(['table', '--class', 'permutations', "
+        "'--construction', 'set', '--kind', 'coefficients', '--m', '1..2', "
+        "'--k', '0..3000'])"
+    )
+    res = run_python("-c", cmd, timeout=30)
+    assert res.returncode == 2
+    assert "--m" in res.stderr
 
 
 def test_table_custom_file(runner, tmp_path):

@@ -3,7 +3,7 @@
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqasym import catalog
@@ -11,6 +11,7 @@ from seqasym.decomposition import (
     convolve,
     irreducible_series,
     lift_consistency,
+    part_count,
     parts_table,
     periodic_reindex,
     verify_halving_identity,
@@ -78,6 +79,46 @@ def test_raw_even_matchings_not_seq_decomposable():
     with pytest.raises(NegativeIrreducibleCount) as err:
         parts_table(A, 1, 6)
     assert "b_4" in str(err.value)
+
+
+@pytest.mark.parametrize("A", catalog.catalog_classes(3), ids=lambda A: A.name)
+def test_part_count_matches_table(A):
+    for n in range(31):
+        for m in range(6):
+            assert part_count(A, m, n) == parts_table(A, m, n).entries(n, m), (n, m)
+
+
+def test_part_count_rejects_what_the_table_rejects():
+    A = catalog.matchings_labeled()
+    for m, n in [(1, 4), (1, 6), (2, 6), (3, 8)]:
+        with pytest.raises(NegativeIrreducibleCount) as via_table:
+            parts_table(A, m, n)
+        with pytest.raises(NegativeIrreducibleCount) as via_entry:
+            part_count(A, m, n)
+        assert str(via_entry.value) == str(via_table.value)
+        assert str(via_entry.value).startswith(f"{A.name}: b_4^(1) = ")
+    # no parts: nothing to decompose, nothing raised
+    assert part_count(A, 0, 6) == parts_table(A, 0, 6).entries(6, 0) == 0
+    assert part_count(A, 0, 0) == 1
+    with pytest.raises(RangeError):
+        part_count(A, -1, 4)
+
+
+_POWER_OF_TWO = st.integers(min_value=0, max_value=80).map(lambda e: 1 << e)
+_OTHER = st.integers(min_value=0, max_value=10**12).filter(lambda v: not v or v & (v - 1))
+
+
+@given(
+    st.lists(st.one_of(_POWER_OF_TWO, _OTHER), min_size=2, max_size=14),
+    st.sampled_from(["labeled", "unlabeled"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_shifted_recurrence_on_mixed_values(tail, labeling):
+    """Powers of two (shifted) mixed with other values (multiplied) and zeros."""
+    assume(any(v and not v & (v - 1) for v in tail) and any(v & (v - 1) for v in tail))
+    A = catalog.custom([1] + tail, labeling, name="mixed")
+    rep = verify_simple_recurrence(A, len(tail))
+    assert rep.all_equal, rep.mismatches[:3]
 
 
 @pytest.mark.parametrize(
