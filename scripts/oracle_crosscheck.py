@@ -24,12 +24,12 @@ DEFAULT_GRID = (
 )
 
 
-def run_one(kind, d, n_max, workers, budget):
+def run_one(kind, d, n_max, budget):
     A = catalog.resolve_class(kind, d)
     table = parts_table(A, n_max, n_max)
     ok = True
     for n in range(1, n_max + 1):
-        res = oracle_for(kind, n, d=d, workers=workers, budget=budget)
+        res = oracle_for(kind, n, d=d, budget=budget)
         expect = {
             m: table.entries(n, m)
             for m in range(1, n + 1)
@@ -50,12 +50,9 @@ def main(argv=None):
     parser.add_argument("--class", dest="kind", choices=ORACLE_KINDS, default=None)
     parser.add_argument("--d", type=int, default=1)
     parser.add_argument("--n-max", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--budget", type=int, default=None,
                         help="refuse any single enumeration larger than this")
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
 
     grid = [(args.kind, args.d)] if args.kind else list(DEFAULT_GRID)
     all_ok = True
@@ -65,7 +62,7 @@ def main(argv=None):
             print(f"{kind}(d={d}): skipped, {object_count(kind, n_max, d):,} "
                   f"objects at n={n_max} exceeds budget {args.budget:,}")
             continue
-        all_ok = run_one(kind, d, n_max, args.workers, args.budget) and all_ok
+        all_ok = run_one(kind, d, n_max, args.budget) and all_ok
     print("all enumerations match" if all_ok else "MISMATCH FOUND")
     return 0 if all_ok else 1
 

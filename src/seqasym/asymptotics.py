@@ -312,11 +312,11 @@ def evaluate_partial_sum(
     """
     if r < 0:
         raise RangeError("r must be >= 0")
+    if A.period > 1 and A.labeling == "labeled" and n % A.period:
+        raise RangeError(f"size {n} is not a multiple of the period {A.period}")
     if construction == "seq":
         shapes_class = A
         p = A.period if A.labeling == "labeled" else 1
-        if A.period > 1 and A.labeling == "labeled" and n % A.period:
-            raise RangeError(f"size {n} is not a multiple of the period {A.period}")
         if coefficients is None:
             coefficients = seq_coefficients(A, m, p * (r + 1))
         count = part_count(A, m, n) if parts is None else parts.entries(n, m)
@@ -411,7 +411,6 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
         name=f"cyc({A_seq.name})",
         labeling="labeled",
         period=1,
-        provenance="derived",
         _fn=fn,
     )
 

@@ -35,7 +35,7 @@ each reported S_{n,r}, in lowest terms like every other trace value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Sequence, Union
@@ -228,16 +228,4 @@ def perturbation_check(
         )
     base_name = A.name if isinstance(A, CountingSequence) else "base"
     report = audit_sequence(f"{K}*{base_name} + perturbation", c, N, r_max)
-    return AuditReport(
-        class_name=report.class_name,
-        N=report.N,
-        r_max=report.r_max,
-        ratio_trace=report.ratio_trace,
-        convolution_trace=report.convolution_trace,
-        ratio_linear_bound=report.ratio_linear_bound,
-        ratio_linear_witness=report.ratio_linear_witness,
-        midpoint_monotone=report.midpoint_monotone,
-        midpoint_first_violation=report.midpoint_first_violation,
-        verdict=report.verdict,
-        notes=tuple(note_parts),
-    )
+    return replace(report, notes=tuple(note_parts))

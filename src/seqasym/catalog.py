@@ -6,8 +6,7 @@ together with the bookkeeping every downstream computation needs:
 * ``labeling`` — "labeled" classes live in the exponential-generating-function
   ring (coefficients a_n/n!), "unlabeled" ones in the ordinary ring;
 * ``period`` — p > 1 means a_n = 0 whenever p does not divide n (with the
-  nonzero support on multiples of p);
-* ``provenance`` — closed-form, user-list, or derived.
+  nonzero support on multiples of p).
 
 The catalog:
 
@@ -78,7 +77,6 @@ class CountingSequence:
     name: str
     labeling: str  # "labeled" | "unlabeled"
     period: int
-    provenance: str  # "closed-form" | "user-list" | "derived"
     _fn: Callable[[int], int]
     _cache: dict[int, int] = field(default_factory=dict, repr=False)
 
@@ -123,7 +121,6 @@ def tournaments(d: int = 1) -> CountingSequence:
         name=f"tournaments(d={d})",
         labeling="labeled",
         period=1,
-        provenance="closed-form",
         _fn=lambda n: (d + 1) ** comb(n, 2),
     )
 
@@ -136,7 +133,6 @@ def linear_orders(d: int = 1) -> CountingSequence:
         name=f"linear_orders(d={d})",
         labeling="labeled",
         period=1,
-        provenance="closed-form",
         _fn=lambda n: factorial(n) ** d,
     )
 
@@ -149,7 +145,6 @@ def permutations(d: int = 1) -> CountingSequence:
         name=f"permutations(d={d})",
         labeling="unlabeled",
         period=1,
-        provenance="closed-form",
         _fn=lambda n: factorial(n) ** d,
     )
 
@@ -162,7 +157,6 @@ def matchings(d: int = 1) -> CountingSequence:
         name=f"matchings(d={d})",
         labeling="unlabeled",
         period=1,
-        provenance="closed-form",
         _fn=lambda n: double_factorial(2 * n - 1) ** d,
     )
 
@@ -177,7 +171,6 @@ def matchings_labeled() -> CountingSequence:
         name="matchings_labeled",
         labeling="labeled",
         period=2,
-        provenance="closed-form",
         _fn=lambda n: double_factorial(n - 1) if n % 2 == 0 else 0,
     )
 
@@ -193,7 +186,6 @@ def linear_matchings() -> CountingSequence:
         name="linear_matchings",
         labeling="labeled",
         period=2,
-        provenance="closed-form",
         _fn=lambda n: factorial(n) * double_factorial(n - 1) if n % 2 == 0 else 0,
     )
 
@@ -208,7 +200,6 @@ def constant_ones() -> CountingSequence:
         name="constant-1",
         labeling="unlabeled",
         period=1,
-        provenance="closed-form",
         _fn=lambda n: 1,
     )
 
@@ -277,7 +268,6 @@ def unlabeled_tournaments() -> CountingSequence:
         name="unlabeled_tournaments",
         labeling="unlabeled",
         period=1,
-        provenance="closed-form",
         _fn=unlabeled_tournament_count,
     )
 
@@ -330,9 +320,7 @@ def custom(
             )
         return vals[n]
 
-    return CountingSequence(
-        name=name, labeling=labeling, period=period, provenance="user-list", _fn=fn
-    )
+    return CountingSequence(name=name, labeling=labeling, period=period, _fn=fn)
 
 
 def parse_custom_text(text: str, name: str = "custom") -> CountingSequence:

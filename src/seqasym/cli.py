@@ -305,14 +305,20 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
 @main.command("verify")
 @click.option("--suite", type=click.Choice(list(SUITE_NAMES)), required=True)
 @click.option("--budget", type=int, default=None, help="skip oracle checks above this")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option(
+    "--workers",
+    type=click.IntRange(min=1),
+    default=1,
+    show_default=True,
+    help="no effect; kept so the recorded benchmark command line still runs",
+)
 @click.option("--format", "fmt", type=FORMATS, default="md", show_default=True)
 def cmd_verify(suite, budget, workers, fmt):
     """Run a verification suite; exit 1 if any check fails."""
 
     def body():
         t0 = time.perf_counter()
-        checks = run_suite(suite, budget=budget, workers=workers)
+        checks = run_suite(suite, budget=budget)
         elapsed = time.perf_counter() - t0
         n_fail = sum(1 for c in checks if c.status == "fail")
         n_skip = sum(1 for c in checks if c.status == "skip")
@@ -434,7 +440,6 @@ def cmd_audit(class_name, d, N, fmt, custom):
 )
 @click.option("--n", "n_value", type=int, required=True)
 @click.option("--d", "d", type=int, default=1, show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option(
     "--budget",
     type=int,
@@ -443,17 +448,16 @@ def cmd_audit(class_name, d, N, fmt, custom):
     help="refuse to enumerate more objects than this",
 )
 @click.option("--format", "fmt", type=FORMATS, default="md", show_default=True)
-def cmd_oracle(class_name, n_value, d, workers, budget, fmt):
+def cmd_oracle(class_name, n_value, d, budget, fmt):
     """Enumerate every object of one size and count parts directly."""
 
     def body():
-        result = oracle_for(class_name, n_value, d, workers=workers, budget=budget)
+        result = oracle_for(class_name, n_value, d, budget=budget)
         config = {
             "command": "oracle",
             "class": class_name,
             "n": n_value,
             "d": d,
-            "workers": workers,
             "budget": budget,
             "format": fmt,
         }

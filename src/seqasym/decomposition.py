@@ -303,7 +303,6 @@ def periodic_reindex(A: CountingSequence) -> CountingSequence:
         name=f"{A.name}[/{p}]",
         labeling="unlabeled",
         period=1,
-        provenance="derived",
         _fn=lambda k: A.value(p * k),
     )
 

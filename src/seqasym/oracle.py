@@ -20,16 +20,13 @@ objects themselves.  The oracles know nothing about generating functions:
 * matchings(d): all ((2n-1)!!)^d tuples of perfect matchings of {1..2n};
   breakpoints are the even prefixes closed under every member;
 * unlabeled tournaments: one representative per isomorphism orbit, found by
-  ascending scan with orbit marking over one table shared by all shards
-  (the first unvisited code is the minimal member of a fresh orbit, so each
-  orbit is expanded once whatever the sharding); parts come from
+  ascending scan with orbit marking (the first unvisited code is the minimal
+  member of a fresh orbit, so each orbit is expanded once); parts come from
   Tarjan's algorithm with the chain assertion, as for d >= 2.
 
-Enumeration order is fixed over a flat index space (an odometer; for d=1
-tournaments, index t visits Gray code t ^ (t >> 1), a bijection), so results
-are deterministic, and any sharding of the index range merges to the same
-counts.  Shards run sequentially; the ``workers`` knob controls only how the
-range is split, never the arithmetic.
+Each enumerator makes one walk over its whole index space in a fixed order
+(``itertools.product`` over tuples; for d=1 tournaments, step t visits Gray
+code t ^ (t >> 1), a bijection), so results are deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +35,9 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, factorial
+from operator import and_
 
 from .errors import BudgetExceeded, RangeError, UnknownClass
 
@@ -72,19 +71,6 @@ class OracleResult:
 
     def count(self, m: int) -> int:
         return self.counts_by_parts.get(m, 0)
-
-
-def _shard_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    if workers < 1:
-        raise RangeError("workers must be >= 1")
-    workers = min(workers, max(total, 1))
-    step, extra = divmod(total, workers)
-    ranges, lo = [], 0
-    for w in range(workers):
-        hi = lo + step + (1 if w < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +193,7 @@ def _check_budget(kind: str, n: int, d: int, budget: int | None) -> None:
 
 
 def enumerate_tournament_parts(
-    n: int, d: int = 1, workers: int = 1, budget: int | None = None
+    n: int, d: int = 1, budget: int | None = None
 ) -> OracleResult:
     """Part-count distribution over all (d+1)^C(n,2) multi-tournaments."""
     if n < 1 or d < 1:
@@ -216,20 +202,25 @@ def enumerate_tournament_parts(
     t0 = time.perf_counter()
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     P = len(pairs)
-    base = d + 1
-    total = base**P
+    total = (d + 1) ** P
     counts: Counter[int] = Counter()
     if d == 1:
-        tally: Counter[int] = Counter()
-        for lo, hi in _shard_ranges(total, workers):
-            shard = _score_walk(n, pairs, lo, hi)
-            assert sum(shard.values()) == hi - lo, "shard skipped or repeated codes"
-            tally.update(shard)
+        tally = _score_walk(n, pairs)
+        assert sum(tally.values()) == total, "walk skipped or repeated codes"
         for key, c in tally.items():
             counts[_landau_parts(n, key)] += c
     else:
-        for lo, hi in _shard_ranges(total, workers):
-            counts.update(_tournament_shard(n, d, pairs, base, lo, hi))
+        for outcome in itertools.product(range(d + 1), repeat=P):
+            adj = [0] * n
+            for (i, j), v in zip(pairs, outcome):
+                if v:
+                    adj[i] |= 1 << j
+                if v < d:
+                    adj[j] |= 1 << i
+            m, comp = _strong_components(n, adj)
+            if m > 1:
+                assert _condensation_is_chain(n, adj, comp), "parts not linearly ordered"
+            counts[m] += 1
     elapsed = time.perf_counter() - t0
     return OracleResult(
         class_name=f"tournaments(d={d})",
@@ -240,39 +231,9 @@ def enumerate_tournament_parts(
     )
 
 
-def _tournament_shard(
-    n: int, d: int, pairs: list[tuple[int, int]], base: int, lo: int, hi: int
-) -> Counter:
-    P = len(pairs)
-    digits = [0] * P
-    x = lo
-    for idx in range(P):
-        x, digits[idx] = divmod(x, base)
-    counts: Counter[int] = Counter()
-    for _ in range(lo, hi):
-        adj = [0] * n
-        for idx in range(P):
-            v = digits[idx]
-            i, j = pairs[idx]
-            if v:
-                adj[i] |= 1 << j
-            if v < d:
-                adj[j] |= 1 << i
-        m, comp = _strong_components(n, adj)
-        if m > 1:
-            assert _condensation_is_chain(n, adj, comp), "parts not linearly ordered"
-        counts[m] += 1
-        for idx in range(P):  # odometer increment
-            digits[idx] += 1
-            if digits[idx] < base:
-                break
-            digits[idx] = 0
-    return counts
-
-
-def _score_walk(n: int, pairs: list[tuple[int, int]], lo: int, hi: int) -> dict[int, int]:
-    """Tally of score-vector keys over the tournaments with Gray codes
-    ``t ^ (t >> 1)`` for ``lo <= t < hi``.
+def _score_walk(n: int, pairs: list[tuple[int, int]]) -> dict[int, int]:
+    """Tally of score-vector keys over all tournaments, visited in Gray-code
+    order ``t ^ (t >> 1)``.
 
     Bit ``idx`` of a code set means ``pairs[idx] = (i, j)`` has i beating j.
     The key of a score vector is ``sum(score[v] * n**v)``; step t flips arc
@@ -280,13 +241,10 @@ def _score_walk(n: int, pairs: list[tuple[int, int]], lo: int, hi: int) -> dict[
     """
     powers = [n**v for v in range(n)]
     delta = [powers[i] - powers[j] for i, j in pairs]
-    code = lo ^ (lo >> 1)
-    key = sum(
-        powers[i] if (code >> idx) & 1 else powers[j] for idx, (i, j) in enumerate(pairs)
-    )
-    tally = {key: 1} if hi > lo else {}
+    key = sum(powers[j] for _, j in pairs)  # code 0: j beats i on every pair
+    tally = {key: 1}
     get = tally.get
-    for t in range(lo + 1, hi):
+    for t in range(1, 1 << len(pairs)):
         low = t & -t
         # the flipped bit of t ^ (t >> 1) is now the complement of t's next bit
         if t & (low << 1):
@@ -340,7 +298,7 @@ def _prefix_max_masks(n: int) -> list[int]:
 
 
 def enumerate_permutation_parts(
-    n: int, d: int = 1, workers: int = 1, budget: int | None = None
+    n: int, d: int = 1, budget: int | None = None
 ) -> OracleResult:
     """Part-count distribution over all (n!)^d permutation tuples."""
     if n < 1 or d < 1:
@@ -348,35 +306,24 @@ def enumerate_permutation_parts(
     _check_budget("permutations", n, d, budget)
     t0 = time.perf_counter()
     masks = _prefix_max_masks(n)
-    radix = len(masks)
-    total = radix**d
-    counts: Counter[int] = Counter()
-    for lo, hi in _shard_ranges(total, workers):
-        counts.update(_tuple_mask_shard(masks, radix, d, lo, hi))
+    counts = _common_breakpoints(masks, d)
     elapsed = time.perf_counter() - t0
     return OracleResult(
         class_name=f"permutations(d={d})",
         n=n,
         counts_by_parts=dict(sorted(counts.items())),
-        total_enumerated=total,
+        total_enumerated=len(masks) ** d,
         elapsed=elapsed,
     )
 
 
-def _tuple_mask_shard(masks: list[int], radix: int, d: int, lo: int, hi: int) -> Counter:
-    counts: Counter[int] = Counter()
-    if d == 1:
-        for flat in range(lo, hi):
-            counts[masks[flat].bit_count()] += 1
-        return counts
-    for flat in range(lo, hi):
-        x = flat
-        acc = -1
-        for _ in range(d):
-            x, r = divmod(x, radix)
-            acc &= masks[r]
-        counts[acc.bit_count()] += 1
-    return counts
+def _common_breakpoints(masks: list[int], d: int) -> Counter[int]:
+    """Tally of common-breakpoint counts over all d-tuples of members."""
+    if d == 1:  # product() would copy the whole mask list (9! entries at n=9)
+        return Counter(mask.bit_count() for mask in masks)
+    return Counter(
+        reduce(and_, members).bit_count() for members in itertools.product(masks, repeat=d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +360,7 @@ def _matching_prefix_masks(pairs: int) -> list[int]:
 
 
 def enumerate_matching_parts(
-    pairs: int, d: int = 1, workers: int = 1, budget: int | None = None
+    pairs: int, d: int = 1, budget: int | None = None
 ) -> OracleResult:
     """Part-count distribution over all ((2n-1)!!)^d matching tuples."""
     if pairs < 1 or d < 1:
@@ -421,17 +368,13 @@ def enumerate_matching_parts(
     _check_budget("matchings", pairs, d, budget)
     t0 = time.perf_counter()
     masks = _matching_prefix_masks(pairs)
-    radix = len(masks)
-    total = radix**d
-    counts: Counter[int] = Counter()
-    for lo, hi in _shard_ranges(total, workers):
-        counts.update(_tuple_mask_shard(masks, radix, d, lo, hi))
+    counts = _common_breakpoints(masks, d)
     elapsed = time.perf_counter() - t0
     return OracleResult(
         class_name=f"matchings(d={d})",
         n=pairs,
         counts_by_parts=dict(sorted(counts.items())),
-        total_enumerated=total,
+        total_enumerated=len(masks) ** d,
         elapsed=elapsed,
     )
 
@@ -486,14 +429,13 @@ def canonical_tournament_code(code: int, n: int) -> int:
 
 
 def enumerate_unlabeled_tournament_parts(
-    n: int, workers: int = 1, budget: int | None = None
+    n: int, budget: int | None = None
 ) -> OracleResult:
     """Part-count distribution over isomorphism classes of tournaments.
 
     Scans codes in ascending order; the first unvisited code is the minimal
-    member of a fresh orbit and serves as its representative.  The shards are
-    walked in order over one shared ``visited`` table, so every orbit is
-    expanded and counted once, in the shard that holds its global minimum.
+    member of a fresh orbit and serves as its representative.  Marking the
+    whole orbit visited means every orbit is expanded and counted once.
     """
     if n < 1:
         raise RangeError("need n >= 1")
@@ -505,20 +447,19 @@ def enumerate_unlabeled_tournament_parts(
     counts: Counter[int] = Counter()
     orbits = 0
     visited = bytearray(total_codes)
-    for lo, hi in _shard_ranges(total_codes, workers):
-        for code in range(lo, hi):
-            if visited[code]:
-                continue
-            orbit = {_apply_action(code, row) for row in actions}
-            for c in orbit:
-                visited[c] = 1
-            assert min(orbit) == code  # earlier codes of the orbit are visited
-            adj = _code_adjacency(code, n, pairs)
-            m, comp = _strong_components(n, adj)
-            if m > 1:
-                assert _condensation_is_chain(n, adj, comp)
-            counts[m] += 1
-            orbits += 1
+    for code in range(total_codes):
+        if visited[code]:
+            continue
+        orbit = {_apply_action(code, row) for row in actions}
+        for c in orbit:
+            visited[c] = 1
+        assert min(orbit) == code  # earlier codes of the orbit are visited
+        adj = _code_adjacency(code, n, pairs)
+        m, comp = _strong_components(n, adj)
+        if m > 1:
+            assert _condensation_is_chain(n, adj, comp)
+        counts[m] += 1
+        orbits += 1
     elapsed = time.perf_counter() - t0
     return OracleResult(
         class_name="unlabeled tournaments",
@@ -534,18 +475,16 @@ def enumerate_unlabeled_tournament_parts(
 # ---------------------------------------------------------------------------
 
 
-def oracle_for(
-    kind: str, n: int, d: int = 1, workers: int = 1, budget: int | None = None
-) -> OracleResult:
+def oracle_for(kind: str, n: int, d: int = 1, budget: int | None = None) -> OracleResult:
     """Run the enumerator for a catalog class key."""
     if kind == "tournaments":
-        return enumerate_tournament_parts(n, d, workers, budget)
+        return enumerate_tournament_parts(n, d, budget)
     if kind == "permutations":
-        return enumerate_permutation_parts(n, d, workers, budget)
+        return enumerate_permutation_parts(n, d, budget)
     if kind == "matchings":
-        return enumerate_matching_parts(n, d, workers, budget)
+        return enumerate_matching_parts(n, d, budget)
     if kind == "unlabeled_tournaments":
         if d != 1:
             raise RangeError("unlabeled tournaments exist only for d=1")
-        return enumerate_unlabeled_tournament_parts(n, workers, budget)
+        return enumerate_unlabeled_tournament_parts(n, budget)
     raise UnknownClass(f"no oracle for {kind!r}")

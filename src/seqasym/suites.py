@@ -107,7 +107,7 @@ _ORACLE_GRID = (
 )
 
 
-def suite_oracle(budget: int | None = None, workers: int = 1) -> list[Check]:
+def suite_oracle(budget: int | None = None) -> list[Check]:
     checks = []
     for kind, d, n_max in _ORACLE_GRID:
         name = f"oracle-{kind}-d{d}-n{n_max}"
@@ -119,7 +119,7 @@ def suite_oracle(budget: int | None = None, workers: int = 1) -> list[Check]:
         expected = parts_table(A, n_max, n_max)
         bad = None
         for n in range(1, n_max + 1):
-            result = oracle_for(kind, n, d, workers=workers)
+            result = oracle_for(kind, n, d)
             want_total = A.value(n)
             if result.total_enumerated != want_total:
                 bad = f"n={n} total={result.total_enumerated} expected={want_total}"
@@ -279,27 +279,27 @@ def suite_residual_order() -> list[Check]:
 # ---------------------------------------------------------------------------
 
 _SUITES = {
-    "appendix": lambda budget, workers: suite_appendix(),
-    "oracle": lambda budget, workers: suite_oracle(budget, workers),
-    "sumrule": lambda budget, workers: suite_sumrule(),
-    "recurrences": lambda budget, workers: suite_recurrences(),
-    "lift": lambda budget, workers: suite_lift(),
-    "wright": lambda budget, workers: suite_wright(),
-    "comtet": lambda budget, workers: suite_comtet(),
-    "residual-order": lambda budget, workers: suite_residual_order(),
+    "appendix": lambda budget: suite_appendix(),
+    "oracle": lambda budget: suite_oracle(budget),
+    "sumrule": lambda budget: suite_sumrule(),
+    "recurrences": lambda budget: suite_recurrences(),
+    "lift": lambda budget: suite_lift(),
+    "wright": lambda budget: suite_wright(),
+    "comtet": lambda budget: suite_comtet(),
+    "residual-order": lambda budget: suite_residual_order(),
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def run_suite(name: str, budget: int | None = None, workers: int = 1) -> list[Check]:
+def run_suite(name: str, budget: int | None = None) -> list[Check]:
     if name == "all":
         out = []
         for key in _SUITES:
-            out.extend(_SUITES[key](budget, workers))
+            out.extend(_SUITES[key](budget))
         return out
     try:
         fn = _SUITES[name]
     except KeyError:
         raise RangeError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return fn(budget, workers)
+    return fn(budget)

@@ -66,7 +66,7 @@ def test_criterion_03_permutation_expansion_numerators():
 
 def test_criterion_04_oracle_equivalence():
     t0 = time.perf_counter()
-    checks = suite_oracle(budget=None, workers=1)
+    checks = suite_oracle(budget=None)
     elapsed = time.perf_counter() - t0
     bad = [c.name for c in checks if c.status != "ok"]
     ok = not bad and len(checks) == 7 and elapsed < 240.0

@@ -183,6 +183,18 @@ def test_expansion_rejects_size_below_terms(runner):
     assert "need --n >= 10" in res.output
 
 
+def test_cycle_expansion_rejects_size_off_the_period(runner, tmp_path):
+    f = tmp_path / "pairs.seq"
+    f.write_text("labeling: labeled\nperiod: 2\n1\n0\n1\n0\n3\n0\n15\n")
+    for where in (["--class", "linear_matchings", "--n", "31"], ["--custom", str(f), "--n", "3"]):
+        res = invoke(runner, "expansion", *where, "--construction", "cyc", "--m", "1",
+                     "--terms", "1")
+        assert res.exit_code == 2
+        assert res.stderr.startswith("RangeError: size")
+        assert "is not a multiple of the period 2" in res.stderr
+        assert "Traceback" not in res.output
+
+
 def test_expansion_json_carries_exact_rationals(runner):
     res = invoke(
         runner, "expansion", "--class", "tournaments", "--n", "20",
@@ -330,12 +342,6 @@ def test_oracle_default_budget_refuses_before_allocating(runner):
     res = invoke(runner, "oracle", "--class", "unlabeled_tournaments", "--n", "9")
     assert res.exit_code == 3
     assert "BudgetExceeded" in res.output and "budget 3000000" in res.output
-
-
-def test_oracle_rejects_nonpositive_workers(runner):
-    res = invoke(runner, "oracle", "--class", "permutations", "--n", "3", "--workers", "0")
-    assert res.exit_code == 2
-    assert "--workers" in res.output
 
 
 def test_unknown_class_exit_code(runner):

@@ -1,4 +1,4 @@
-"""Brute-force enumerators: frozen small cases, sharding, budgets, canonicalization,
+"""Brute-force enumerators: frozen small cases, budgets, canonicalization,
 Landau's score rule against Tarjan."""
 
 import importlib.util
@@ -6,7 +6,6 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import run_script
 
 from seqasym import catalog, oracle
 from seqasym.decomposition import parts_table
@@ -17,12 +16,9 @@ from seqasym.oracle import (
     _landau_parts,
     _pair_table,
     _score_walk,
-    _shard_ranges,
     _strong_components,
     canonical_tournament_code,
     default_oracle_size,
-    enumerate_matching_parts,
-    enumerate_permutation_parts,
     enumerate_tournament_parts,
     enumerate_unlabeled_tournament_parts,
     object_count,
@@ -85,36 +81,8 @@ def test_unlabeled_enumeration_matches_counting_table():
         assert res.total_enumerated == A.value(n)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 5, 7])
-def test_sharding_is_deterministic(workers):
-    assert (
-        enumerate_tournament_parts(4, workers=workers).counts_by_parts
-        == enumerate_tournament_parts(4).counts_by_parts
-    )
-    # uneven shards start in the middle of the Gray-code sequence
-    assert (
-        enumerate_tournament_parts(6, workers=workers).counts_by_parts
-        == enumerate_tournament_parts(6).counts_by_parts
-    )
-    assert (
-        enumerate_tournament_parts(3, d=2, workers=workers).counts_by_parts
-        == enumerate_tournament_parts(3, d=2).counts_by_parts
-    )
-    assert (
-        enumerate_permutation_parts(4, d=2, workers=workers).counts_by_parts
-        == enumerate_permutation_parts(4, d=2).counts_by_parts
-    )
-    assert (
-        enumerate_matching_parts(3, workers=workers).counts_by_parts
-        == enumerate_matching_parts(3).counts_by_parts
-    )
-    assert (
-        enumerate_unlabeled_tournament_parts(5, workers=workers).counts_by_parts
-        == enumerate_unlabeled_tournament_parts(5).counts_by_parts
-    )
-
-
 def test_unlabeled_shards_expand_each_orbit_once(monkeypatch):
+    """One ascending walk expands each orbit exactly once, at its minimum."""
     calls = Counter()
     apply_action = oracle._apply_action
 
@@ -123,13 +91,9 @@ def test_unlabeled_shards_expand_each_orbit_once(monkeypatch):
         return apply_action(code, row)
 
     monkeypatch.setattr(oracle, "_apply_action", counting)
-    work = {}
-    for workers in (1, 7):
-        calls.clear()
-        res = enumerate_unlabeled_tournament_parts(5, workers=workers)
-        work[workers] = (calls["n"], res.total_enumerated, res.counts_by_parts)
-    assert work[1] == work[7]
-    assert work[1][0] == 12 * 120  # 12 orbits, one expansion by 5! relabelings
+    res = enumerate_unlabeled_tournament_parts(5)
+    assert res.total_enumerated == 12
+    assert calls["n"] == 12 * 120  # one expansion by the 5! relabelings per orbit
 
 
 def _score_key(scores):
@@ -161,15 +125,7 @@ def test_landau_rule_matches_tarjan_on_every_tournament(n):
         if m > 1:
             assert _condensation_is_chain(n, adj, comp), (n, code)
         direct[key] += 1
-    assert _score_walk(n, pairs, 0, 1 << len(pairs)) == direct
-
-
-def test_shard_ranges_partition_the_index_space():
-    for total in (0, 1, 7, 64, 100):
-        for workers in (1, 2, 3, 7):
-            ranges = _shard_ranges(total, workers)
-            covered = [i for lo, hi in ranges for i in range(lo, hi)]
-            assert covered == list(range(total))
+    assert _score_walk(n, pairs) == direct
 
 
 def test_object_counts():
@@ -260,9 +216,3 @@ def test_crosscheck_script_honours_zero_budget(capsys):
     assert script.main(["--budget", "0"]) == 0
     out = capsys.readouterr().out
     assert out.count("skipped") == len(script.DEFAULT_GRID)
-
-
-def test_crosscheck_script_rejects_nonpositive_workers():
-    res = run_script("oracle_crosscheck.py", "--workers", "0")
-    assert res.returncode == 2
-    assert "--workers" in res.stderr and "Traceback" not in res.stderr
