@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Brute-force enumeration against the algebraic part-count tables.
 
-Runs the full default grid (or a single class) and prints a per-size line
-with counts by part number, the algebraic prediction, and timing.  This is
-the slow, independent ground truth behind every other number in the package.
+Runs the grid of ``seqasym verify --suite oracle`` (or a single class) and
+prints a per-size line with counts by part number, the algebraic
+prediction, and timing.  This is the slow, independent ground truth behind
+every other number in the package.  A class off that grid needs --n-max.
 """
 
 import argparse
@@ -11,17 +12,8 @@ import sys
 
 from seqasym import catalog
 from seqasym.decomposition import parts_table
-from seqasym.oracle import ORACLE_KINDS, default_oracle_size, object_count, oracle_for
-
-DEFAULT_GRID = (
-    ("tournaments", 1),
-    ("tournaments", 2),
-    ("permutations", 1),
-    ("permutations", 2),
-    ("matchings", 1),
-    ("matchings", 2),
-    ("unlabeled_tournaments", 1),
-)
+from seqasym.oracle import ORACLE_KINDS, object_count, oracle_for
+from seqasym.suites import ORACLE_GRID
 
 
 def run_one(kind, d, n_max, budget):
@@ -53,11 +45,19 @@ def main(argv=None):
     parser.add_argument("--budget", type=int, default=None,
                         help="refuse any single enumeration larger than this")
     args = parser.parse_args(argv)
+    if args.budget is not None and args.budget < 0:
+        parser.error(f"--budget must be nonnegative, got {args.budget}")
 
-    grid = [(args.kind, args.d)] if args.kind else list(DEFAULT_GRID)
+    sizes = {(kind, d): n_max for kind, d, n_max in ORACLE_GRID}
+    grid = [(args.kind, args.d)] if args.kind else list(sizes)
+    if args.kind and not args.n_max and (args.kind, args.d) not in sizes:
+        parser.error(
+            f"--n-max is required for --class {args.kind} --d {args.d}, "
+            "which is off the verify --suite oracle grid"
+        )
     all_ok = True
     for kind, d in grid:
-        n_max = args.n_max or default_oracle_size(kind, d)
+        n_max = args.n_max or sizes[(kind, d)]
         if args.budget is not None and object_count(kind, n_max, d) > args.budget:
             print(f"{kind}(d={d}): skipped, {object_count(kind, n_max, d):,} "
                   f"objects at n={n_max} exceeds budget {args.budget:,}")

@@ -9,35 +9,9 @@ import argparse
 import sys
 import time
 
-from seqasym import catalog
-from seqasym.asymptotics import seq_coefficients
-from seqasym.decomposition import parts_table
 from seqasym.reference_tables import APPENDIX_ORDER, REFERENCE_TABLES
 from seqasym.render import grid_markdown
-
-
-def regenerate(key):
-    class_key, d, kind = key
-    ref = REFERENCE_TABLES[key]
-    A = catalog.resolve_class(class_key, d)
-    lo = ref.start_index
-    hi = lo + len(ref.rows[0]) - 1
-    if kind == "parts":
-        table = parts_table(A, 5, hi)
-        rows = [
-            (str(m), [table.entries(n, m) for n in range(lo, hi + 1)])
-            for m in range(1, 6)
-        ]
-        corner = "m\\n"
-    else:
-        table = seq_coefficients(A, 5, hi)
-        rows = [
-            (str(m), [table.entries(k, m) for k in range(lo, hi + 1)])
-            for m in range(1, 6)
-        ]
-        corner = "m\\k"
-    fresh = [tuple(vals) for _, vals in rows]
-    return A, corner, rows, fresh == [tuple(r) for r in ref.rows]
+from seqasym.suites import recompute_reference
 
 
 def main(argv=None):
@@ -49,15 +23,19 @@ def main(argv=None):
     failures = []
     extras = sorted(k for k in REFERENCE_TABLES if k not in APPENDIX_ORDER)
     for key in list(APPENDIX_ORDER) + extras:
-        class_key, d, kind = key
-        A, corner, rows, same = regenerate(key)
+        kind = key[2]
+        ref = REFERENCE_TABLES[key]
+        table = recompute_reference(key)
+        columns = range(ref.start_index, ref.start_index + len(ref.rows[0]))
+        fresh = [tuple(table.entries(i, m) for i in columns) for m in range(1, 6)]
+        same = fresh == list(ref.rows)
         if not same:
             failures.append(key)
         if not args.quiet:
-            lo = REFERENCE_TABLES[key].start_index
-            labels = [str(i) for i in range(lo, lo + len(rows[0][1]))]
-            print(f"## {A.name} {kind}  [{'ok' if same else 'MISMATCH'}]\n")
-            print(grid_markdown(corner, labels, rows))
+            corner = "m\\n" if kind == "parts" else "m\\k"
+            rows = [(str(m), vals) for m, vals in enumerate(fresh, 1)]
+            print(f"## {table.class_name} {kind}  [{'ok' if same else 'MISMATCH'}]\n")
+            print(grid_markdown(corner, [str(i) for i in columns], rows))
             print()
     elapsed = time.perf_counter() - t0
     print(f"{len(REFERENCE_TABLES) - len(failures)}/{len(REFERENCE_TABLES)} "

@@ -13,7 +13,6 @@ import sys
 
 from seqasym.asymptotics import evaluate_partial_sum, seq_coefficients
 from seqasym.catalog import load_custom, resolve_class
-from seqasym.decomposition import parts_table
 
 
 def main(argv=None):
@@ -31,8 +30,7 @@ def main(argv=None):
         args.class_name, args.d
     )
     sizes = [int(s) for s in args.sizes.split(",")]
-    coeffs = seq_coefficients(A, args.m, args.r_max + 2)
-    parts = parts_table(A, args.m, max(sizes))
+    coeffs = seq_coefficients(A, args.m, args.r_max + 1)
 
     print(f"# normalized residuals for {A.name}, m={args.m}\n")
     header = ["r", "target d_(r+1)"] + [f"n={n}" for n in sizes]
@@ -42,9 +40,7 @@ def main(argv=None):
         target = coeffs.entries(r + 1, args.m)
         cells = []
         for n in sizes:
-            rep = evaluate_partial_sum(
-                A, args.m, n, r, coefficients=coeffs, parts=parts
-            )
+            rep = evaluate_partial_sum(A, args.m, n, r)
             cells.append(f"{float(rep.normalized_residual):+.4f}")
         row = [str(r), str(target)] + cells
         print("| " + " | ".join(row) + " |")

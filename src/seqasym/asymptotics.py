@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalog import CountingSequence
-from .decomposition import PartsTable, irreducible_counts, part_count, parts_table
+from .decomposition import irreducible_counts, part_count, parts_table
 from .errors import LeadingTermUndefined, RangeError, UnsupportedF
 from .series import PowerSeries
 
@@ -277,11 +277,11 @@ class ExpansionReport:
 
 
 def _term_shape(A: CountingSequence, n: int, k_raw: int) -> Fraction:
-    """binom(n, k) a_{n-k}/a_n labeled; a_{n-k}/a_n unlabeled (k_raw = actual index)."""
-    an = A.value(n)
-    if an == 0:
-        raise RangeError(f"{A.name} has no objects of size {n}")
-    ratio = Fraction(A.value(n - k_raw), an)
+    """binom(n, k) a_{n-k}/a_n labeled; a_{n-k}/a_n unlabeled (k_raw = actual index).
+
+    The caller has checked that a_n is nonzero.
+    """
+    ratio = Fraction(A.value(n - k_raw), A.value(n))
     if A.labeling == "labeled":
         return comb(n, k_raw) * ratio
     return ratio
@@ -293,22 +293,24 @@ def evaluate_partial_sum(
     n: int,
     r: int,
     construction: str = "seq",
-    coefficients: CoefficientTable | None = None,
-    parts: PartsTable | None = None,
 ) -> ExpansionReport:
     """Evaluate the truncated expansion exactly and compare to the exact law.
 
     ``r`` is the number of correction terms: the partial sum runs over
     k = 0..r on the expansion index (multiplied by the period for periodic
-    classes).  The exact probability comes from one part-count entry at size
-    n — an independent computation — and residual = exact - partial holds as
-    an identity of rationals.  The normalized residual divides by the shape
-    of the first omitted term.
+    classes).  Each call builds its own coefficient table up to the first
+    omitted term.  The exact probability comes from one part-count entry at
+    size n — an independent computation — and residual = exact - partial
+    holds as an identity of rationals.  The normalized residual divides by
+    the shape of the first omitted term; it is None when that shape is 0.
 
     For the set construction only the one-part expansion exists, the partial
     sum is 1 - sum d_k * shape_k, and no exact reference value is available
     (inverting the multiset construction is out of scope), so the exact,
     residual, and normalized fields are None.
+
+    Raises RangeError when the class whose values give the shapes has no
+    object of size n.
     """
     if r < 0:
         raise RangeError("r must be >= 0")
@@ -317,41 +319,39 @@ def evaluate_partial_sum(
     if construction == "seq":
         shapes_class = A
         p = A.period if A.labeling == "labeled" else 1
-        if coefficients is None:
-            coefficients = seq_coefficients(A, m, p * (r + 1))
-        count = part_count(A, m, n) if parts is None else parts.entries(n, m)
-        exact = Fraction(count, A.value(n))
+        coefficients = seq_coefficients(A, m, p * (r + 1))
+        count = part_count(A, m, n)
         note = ""
     elif construction == "cyc":
         if A.labeling != "labeled":
             raise RangeError("the cycle construction is defined for labeled classes")
         p = 1
         shapes_class = cyc_class(A)
-        if coefficients is None:
-            coefficients = cyc_coefficients(A, m, r + 1)
-        exact = Fraction(cyc_part_count(A, m, n), shapes_class.value(n))
+        coefficients = cyc_coefficients(A, m, r + 1)
+        count = cyc_part_count(A, m, n)
         note = f"shapes and exact law from the derived cycle class over {A.name}"
     elif construction == "set":
         if m != 1:
             raise RangeError("the set construction defines only the one-part expansion")
         shapes_class = A
         p = 1
-        if coefficients is None:
-            coefficients = set_via_seq_coefficients(A, r + 1)
-        exact = None
+        coefficients = set_via_seq_coefficients(A, r + 1)
+        count = None
         note = (
             "set construction: partial sum is 1 - sum of irreducible-count terms; "
             "no exact reference law in scope"
         )
     else:
         raise RangeError(f"unknown construction {construction!r}")
+    an = shapes_class.value(n)
+    if an == 0:
+        raise RangeError(f"{shapes_class.name} has no objects of size {n}")
+    exact = None if count is None else Fraction(count, an)
 
     terms = []
     total = Fraction(0)
     for k in range(r + 1):
         k_raw = p * k
-        if coefficients.k_max < k_raw:
-            raise RangeError(f"coefficient table too short for k={k_raw}")
         c = coefficients.entries(k_raw, m)
         shape = _term_shape(shapes_class, n, k_raw)
         if construction == "set" and k >= 1:

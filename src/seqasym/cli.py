@@ -25,7 +25,7 @@ from .asymptotics import (
 from .audit import audit
 from .decomposition import parts_table
 from .errors import RangeError, SeqasymError
-from .oracle import _FALLBACK_BUDGET, ORACLE_KINDS, oracle_for
+from .oracle import DEFAULT_BUDGET, ORACLE_KINDS, oracle_for
 from .render import approx, frac_str, grid_csv, grid_markdown, json_document
 from .suites import SUITE_NAMES, run_suite
 
@@ -241,7 +241,8 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
             if report.exact_probability is not None:
                 human += f"\nexact_probability,,,{frac_str(report.exact_probability)}"
                 human += f"\nresidual,,,{frac_str(report.residual)}"
-                human += f"\nnormalized_residual,,,{frac_str(report.normalized_residual)}"
+                nr = report.normalized_residual
+                human += f"\nnormalized_residual,,,{'' if nr is None else frac_str(nr)}"
         else:
             shape_sym = (
                 "binom(n,k)*a(n-k)/a(n)"
@@ -284,10 +285,14 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
                     f"residual = {frac_str(report.residual)}"
                     f" = {approx(report.residual)} (approx)"
                 )
+                nr = report.normalized_residual
                 lines.append(
                     "residual / next shape = "
-                    f"{frac_str(report.normalized_residual)}"
-                    f" = {approx(report.normalized_residual)} (approx)"
+                    + (
+                        "undefined (next shape is 0)"
+                        if nr is None
+                        else f"{frac_str(nr)} = {approx(nr)} (approx)"
+                    )
                 )
             if report.note:
                 lines.append(f"note: {report.note}")
@@ -304,7 +309,9 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(list(SUITE_NAMES)), required=True)
-@click.option("--budget", type=int, default=None, help="skip oracle checks above this")
+@click.option(
+    "--budget", type=click.IntRange(min=0), default=None, help="skip oracle checks above this"
+)
 @click.option(
     "--workers",
     type=click.IntRange(min=1),
@@ -442,8 +449,8 @@ def cmd_audit(class_name, d, N, fmt, custom):
 @click.option("--d", "d", type=int, default=1, show_default=True)
 @click.option(
     "--budget",
-    type=int,
-    default=_FALLBACK_BUDGET,
+    type=click.IntRange(min=0),
+    default=DEFAULT_BUDGET,
     show_default=True,
     help="refuse to enumerate more objects than this",
 )

@@ -60,8 +60,6 @@ from .series import PowerSeries, counting_to_series, series_to_counting
 
 __all__ = [
     "PartsTable",
-    "RecurrenceReport",
-    "LiftReport",
     "convolve",
     "irreducible_counts",
     "irreducible_series",
@@ -217,40 +215,32 @@ def part_count(A: CountingSequence, m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
-    class_name: str
-    kind: str
-    n_max: int
-    all_equal: bool
-    mismatches: tuple[tuple[int, int, int], ...]  # (n, via_series, via_recurrence)
-    values: tuple[int, ...]  # the series-inversion values b_0..b_{n_max}
+def verify_simple_recurrence(
+    A: CountingSequence, n_max: int
+) -> tuple[tuple[int, int, int], ...]:
+    """Compare series inversion against the first-part convolution recurrence.
 
-
-def verify_simple_recurrence(A: CountingSequence, n_max: int) -> RecurrenceReport:
-    """Compare series inversion against the first-part convolution recurrence."""
+    Returns the mismatches (n, via_series, via_recurrence), n = 1..n_max;
+    empty when the two computations agree.
+    """
     via_series = series_to_counting(irreducible_series(A, n_max), A.labeling)
     b = irreducible_counts(A, n_max)
-    mismatches = tuple(
+    return tuple(
         (n, via_series[n], b[n]) for n in range(1, n_max + 1) if via_series[n] != b[n]
     )
-    return RecurrenceReport(
-        class_name=A.name,
-        kind="first-part convolution",
-        n_max=n_max,
-        all_equal=not mismatches,
-        mismatches=mismatches,
-        values=via_series,
-    )
 
 
-def verify_halving_identity(A: CountingSequence, n_max: int) -> RecurrenceReport:
+def verify_halving_identity(
+    A: CountingSequence, n_max: int
+) -> tuple[tuple[int, int, int], ...]:
     """Compare series inversion against the half-size convolution identity.
 
     Labeled classes only; the identity never convolves over parts larger than
     n/2, which is what makes it a genuinely different computation.  It runs
     as a recurrence on its own earlier values, so it shares no intermediate
-    result with the series inversion it is compared against.
+    result with the series inversion it is compared against.  Returns the
+    mismatches (n, via_series, via_identity), n = 1..n_max; empty when the
+    two computations agree.
     """
     if A.labeling != "labeled":
         raise RangeError("the halving identity is stated for labeled classes")
@@ -271,14 +261,7 @@ def verify_halving_identity(A: CountingSequence, n_max: int) -> RecurrenceReport
         b[n] = acc
         if acc != via_series[n]:
             mismatches.append((n, via_series[n], acc))
-    return RecurrenceReport(
-        class_name=A.name,
-        kind="halving identity",
-        n_max=n_max,
-        all_equal=not mismatches,
-        mismatches=tuple(mismatches),
-        values=via_series,
-    )
+    return tuple(mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +290,7 @@ def periodic_reindex(A: CountingSequence) -> CountingSequence:
     )
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    n_max: int
-    m_max: int
-    all_equal: bool
-    mismatches: tuple[tuple[int, int, int, int], ...]  # (n, m, lifted, n! * plain)
-
-
-def lift_consistency(n_max: int, m_max: int) -> LiftReport:
+def lift_consistency(n_max: int, m_max: int) -> tuple[tuple[int, int, int, int], ...]:
     """Check the lift identity between order-pairs and permutations.
 
     The class of pairs of linear orders (counting (n!)^2) is the
@@ -325,6 +300,8 @@ def lift_consistency(n_max: int, m_max: int) -> LiftReport:
 
     for all n, m.  The two sides are computed from different inputs and
     weights (labeled convolutions with binomials vs unlabeled ones).
+    Returns the mismatches (n, m, lifted, n! * plain) over 0 <= n <= n_max,
+    0 <= m <= m_max; empty when the identity holds on the whole grid.
     """
     from .catalog import linear_orders, permutations
 
@@ -337,6 +314,4 @@ def lift_consistency(n_max: int, m_max: int) -> LiftReport:
             rhs = factorial(n) * plain.entries(n, m)
             if lhs != rhs:
                 mismatches.append((n, m, lhs, rhs))
-    return LiftReport(
-        n_max=n_max, m_max=m_max, all_equal=not mismatches, mismatches=tuple(mismatches)
-    )
+    return tuple(mismatches)

@@ -44,7 +44,6 @@ from .errors import BudgetExceeded, RangeError, UnknownClass
 __all__ = [
     "OracleResult",
     "object_count",
-    "default_oracle_size",
     "enumerate_tournament_parts",
     "enumerate_permutation_parts",
     "enumerate_matching_parts",
@@ -140,19 +139,8 @@ def _condensation_is_chain(n: int, adj: list[int], comp: list[int]) -> bool:
 
 ORACLE_KINDS = ("tournaments", "permutations", "matchings", "unlabeled_tournaments")
 
-_DEFAULT_SIZES = {
-    ("tournaments", 1): 7,
-    ("tournaments", 2): 5,
-    ("tournaments", 3): 4,
-    ("permutations", 1): 9,
-    ("permutations", 2): 6,
-    ("permutations", 3): 5,
-    ("matchings", 1): 6,
-    ("matchings", 2): 4,
-    ("unlabeled_tournaments", 1): 6,
-}
-
-_FALLBACK_BUDGET = 3_000_000
+# default enumeration budget of ``seqasym oracle``
+DEFAULT_BUDGET = 3_000_000
 
 
 def object_count(kind: str, n: int, d: int = 1) -> int:
@@ -167,17 +155,6 @@ def object_count(kind: str, n: int, d: int = 1) -> int:
     if kind == "unlabeled_tournaments":
         return 2 ** comb(n, 2)
     raise UnknownClass(f"no oracle for {kind!r}")
-
-
-def default_oracle_size(kind: str, d: int = 1) -> int:
-    """Largest size enumerated by default (fixed table, else a count budget)."""
-    try:
-        return _DEFAULT_SIZES[(kind, d)]
-    except KeyError:
-        n = 1
-        while object_count(kind, n + 1, d) <= _FALLBACK_BUDGET:
-            n += 1
-        return n
 
 
 def _check_budget(kind: str, n: int, d: int, budget: int | None) -> None:

@@ -21,7 +21,6 @@ __all__ = [
     "APPENDIX_ORDER",
     "WRIGHT_FOLDED",
     "COMTET_NUMERATORS",
-    "reference_table",
 ]
 
 
@@ -262,7 +261,3 @@ WRIGHT_FOLDED = (-4, 16, -256, -32768)
 # Numerators of the classical indecomposable-permutation expansion
 # P = 1 - 2/n - 1/(n)_2 - 4/(n)_3 - ...: equal to -d_{k,1} for k = 1..10.
 COMTET_NUMERATORS = (2, 1, 4, 19, 110, 745, 5752, 49775, 476994, 5016069)
-
-
-def reference_table(class_key: str, d: int, kind: str) -> ReferenceTable:
-    return REFERENCE_TABLES[(class_key, d, kind)]

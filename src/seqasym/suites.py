@@ -5,6 +5,10 @@ The CLI renders them and sets the exit status; the test suite asserts on
 them directly.  Everything here is exact arithmetic — a suite failure means
 two independent computations of the same integer or rational disagree, or a
 stated tolerance was missed.
+
+Each cross-check is defined here once.  The scripts reuse
+:func:`recompute_reference` (one frozen table rebuilt from the integer core)
+and ``ORACLE_GRID`` (the brute-force enumeration grid, rows (kind, d, n_max)).
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .asymptotics import evaluate_partial_sum, seq_coefficients
+from .asymptotics import CoefficientTable, evaluate_partial_sum, seq_coefficients
 from .decomposition import (
+    PartsTable,
     lift_consistency,
     parts_table,
     verify_halving_identity,
@@ -29,7 +34,7 @@ from .reference_tables import (
     WRIGHT_FOLDED,
 )
 
-__all__ = ["Check", "SUITE_NAMES", "run_suite"]
+__all__ = ["Check", "ORACLE_GRID", "SUITE_NAMES", "recompute_reference", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -39,21 +44,24 @@ class Check:
     detail: str = ""
 
 
-def _ok(name: str, detail: str = "") -> Check:
-    return Check(name, "ok", detail)
-
-
-def _fail(name: str, detail: str) -> Check:
-    return Check(name, "fail", detail)
-
-
-def _skip(name: str, detail: str) -> Check:
-    return Check(name, "skip", detail)
-
-
 # ---------------------------------------------------------------------------
 # appendix: recompute all sixteen frozen tables
 # ---------------------------------------------------------------------------
+
+
+def recompute_reference(key: tuple[str, int, str]) -> PartsTable | CoefficientTable:
+    """Recompute the frozen table REFERENCE_TABLES[key] from the integer core.
+
+    The result has rows m = 1..5 and reaches the table's last column; its
+    ``entries(index, m)`` are compared with ``REFERENCE_TABLES[key].value``.
+    """
+    class_key, d, kind = key
+    ref = REFERENCE_TABLES[key]
+    A = catalog.resolve_class(class_key, d)
+    hi = ref.start_index + len(ref.rows[0]) - 1
+    if kind == "parts":
+        return parts_table(A, 5, hi)
+    return seq_coefficients(A, 5, hi)
 
 
 def suite_appendix() -> list[Check]:
@@ -61,34 +69,25 @@ def suite_appendix() -> list[Check]:
     for key in APPENDIX_ORDER:
         class_key, d, kind = key
         ref = REFERENCE_TABLES[key]
-        A = catalog.resolve_class(class_key, d)
+        table = recompute_reference(key)
         ncols = len(ref.rows[0])
-        hi = ref.start_index + ncols - 1
         name = f"table-{ref.golden_index}-{class_key}-d{d}-{kind}"
-        if kind == "parts":
-            computed = parts_table(A, 5, hi)
-            get = computed.entries
-        else:
-            computed = seq_coefficients(A, 5, hi)
-            get = computed.entries
-        mismatch = None
-        for m in range(1, 6):
-            for i in range(ncols):
-                idx = ref.start_index + i
-                expected = ref.rows[m - 1][i]
-                actual = get(idx, m)
-                if actual != expected:
-                    mismatch = (idx, m, expected, actual)
-                    break
-            if mismatch:
-                break
+        mismatch = next(
+            (
+                (idx, m, ref.value(idx, m), table.entries(idx, m))
+                for m in range(1, 6)
+                for idx in range(ref.start_index, ref.start_index + ncols)
+                if table.entries(idx, m) != ref.value(idx, m)
+            ),
+            None,
+        )
         if mismatch:
             idx, m, expected, actual = mismatch
             checks.append(
-                _fail(name, f"index={idx} m={m} expected={expected} actual={actual}")
+                Check(name, "fail", f"index={idx} m={m} expected={expected} actual={actual}")
             )
         else:
-            checks.append(_ok(name, f"{5 * ncols} entries"))
+            checks.append(Check(name, "ok", f"{5 * ncols} entries"))
     return checks
 
 
@@ -96,7 +95,8 @@ def suite_appendix() -> list[Check]:
 # oracle: brute-force enumeration vs part tables
 # ---------------------------------------------------------------------------
 
-_ORACLE_GRID = (
+# (kind, d, n_max), also run row by row by scripts/oracle_crosscheck.py
+ORACLE_GRID = (
     ("tournaments", 1, 7),
     ("tournaments", 2, 5),
     ("permutations", 1, 9),
@@ -109,11 +109,11 @@ _ORACLE_GRID = (
 
 def suite_oracle(budget: int | None = None) -> list[Check]:
     checks = []
-    for kind, d, n_max in _ORACLE_GRID:
+    for kind, d, n_max in ORACLE_GRID:
         name = f"oracle-{kind}-d{d}-n{n_max}"
         worst = object_count(kind, n_max, d)
         if budget is not None and worst > budget:
-            checks.append(_skip(name, f"{worst} objects exceed budget {budget}"))
+            checks.append(Check(name, "skip", f"{worst} objects exceed budget {budget}"))
             continue
         A = catalog.resolve_class(kind, d)
         expected = parts_table(A, n_max, n_max)
@@ -133,7 +133,7 @@ def suite_oracle(budget: int | None = None) -> list[Check]:
                     break
             if bad:
                 break
-        checks.append(_fail(name, bad) if bad else _ok(name, f"n<= {n_max}, all m"))
+        checks.append(Check(name, "fail" if bad else "ok", bad or f"n<= {n_max}, all m"))
     return checks
 
 
@@ -153,7 +153,7 @@ def suite_sumrule(k_max: int = 8) -> list[Check]:
             if total != 0:
                 bad = f"k={k} column sum {total}"
                 break
-        checks.append(_fail(name, bad) if bad else _ok(name, f"k <= {k_max}"))
+        checks.append(Check(name, "fail" if bad else "ok", bad or f"k <= {k_max}"))
     return checks
 
 
@@ -165,23 +165,18 @@ def suite_sumrule(k_max: int = 8) -> list[Check]:
 def suite_recurrences(n_max: int = 24) -> list[Check]:
     checks = []
     for A in catalog.catalog_classes():
-        rep = verify_simple_recurrence(A, n_max)
-        name = f"first-part-recurrence-{A.name}"
-        if rep.all_equal:
-            checks.append(_ok(name, f"n <= {n_max}"))
-        else:
-            n, via_series, via_rec = rep.mismatches[0]
-            checks.append(_fail(name, f"n={n} series={via_series} recurrence={via_rec}"))
+        routes = [("first-part-recurrence", "recurrence", verify_simple_recurrence)]
         if A.labeling == "labeled":
-            rep = verify_halving_identity(A, n_max)
-            name = f"halving-identity-{A.name}"
-            if rep.all_equal:
-                checks.append(_ok(name, f"n <= {n_max}"))
+            routes.append(("halving-identity", "identity", verify_halving_identity))
+        for prefix, label, verify in routes:
+            name = f"{prefix}-{A.name}"
+            mismatches = verify(A, n_max)
+            if mismatches:
+                n, via_series, via_route = mismatches[0]
+                detail = f"n={n} series={via_series} {label}={via_route}"
+                checks.append(Check(name, "fail", detail))
             else:
-                n, via_series, via_rec = rep.mismatches[0]
-                checks.append(
-                    _fail(name, f"n={n} series={via_series} identity={via_rec}")
-                )
+                checks.append(Check(name, "ok", f"n <= {n_max}"))
     return checks
 
 
@@ -191,12 +186,12 @@ def suite_recurrences(n_max: int = 24) -> list[Check]:
 
 
 def suite_lift(n_max: int = 8, m_max: int = 5) -> list[Check]:
-    rep = lift_consistency(n_max, m_max)
+    mismatches = lift_consistency(n_max, m_max)
     name = f"lift-linear_orders2-vs-permutations-n{n_max}-m{m_max}"
-    if rep.all_equal:
-        return [_ok(name, f"{n_max * m_max} part counts")]
-    n, m, lhs, rhs = rep.mismatches[0]
-    return [_fail(name, f"n={n} m={m} lift={lhs} scaled={rhs}")]
+    if not mismatches:
+        return [Check(name, "ok", f"{n_max * m_max} part counts")]
+    n, m, lhs, rhs = mismatches[0]
+    return [Check(name, "fail", f"n={n} m={m} lift={lhs} scaled={rhs}")]
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +203,16 @@ def suite_wright() -> list[Check]:
     table = seq_coefficients(catalog.tournaments(1), 1, 4)
     folded = tuple(table.entries(k, 1) * 2 ** (k * (k + 1) // 2) for k in range(1, 5))
     if folded == WRIGHT_FOLDED:
-        return [_ok("wright-folded-coefficients", str(folded))]
-    return [_fail("wright-folded-coefficients", f"{folded} != {WRIGHT_FOLDED}")]
+        return [Check("wright-folded-coefficients", "ok", str(folded))]
+    return [Check("wright-folded-coefficients", "fail", f"{folded} != {WRIGHT_FOLDED}")]
 
 
 def suite_comtet() -> list[Check]:
     table = seq_coefficients(catalog.permutations(1), 1, 10)
     numerators = tuple(-table.entries(k, 1) for k in range(1, 11))
     if numerators == COMTET_NUMERATORS:
-        return [_ok("comtet-numerators", str(numerators))]
-    return [_fail("comtet-numerators", f"{numerators} != {COMTET_NUMERATORS}")]
+        return [Check("comtet-numerators", "ok", str(numerators))]
+    return [Check("comtet-numerators", "fail", f"{numerators} != {COMTET_NUMERATORS}")]
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +238,14 @@ def suite_residual_order() -> list[Check]:
     checks = []
     for class_key, m_hi, r_hi, grid in _RESIDUAL_GRID:
         A = catalog.resolve_class(class_key)
-        coeffs = seq_coefficients(A, m_hi, r_hi + 2)
-        parts = parts_table(A, m_hi, grid[-1])
+        coeffs = seq_coefficients(A, m_hi, r_hi + 1)
         for m in range(1, m_hi + 1):
             for r in range(0, r_hi + 1):
                 name = f"residual-order-{class_key}-m{m}-r{r}"
                 target = Fraction(coeffs.entries(r + 1, m))
                 deviations = []
                 for n in grid:
-                    rep = evaluate_partial_sum(
-                        A, m, n, r, coefficients=coeffs, parts=parts
-                    )
+                    rep = evaluate_partial_sum(A, m, n, r)
                     deviations.append(abs(rep.normalized_residual - target))
                 if target == 0:
                     close = deviations[-1] <= Fraction(5, 100)
@@ -266,11 +258,11 @@ def suite_residual_order() -> list[Check]:
                     )
                 monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
                 if close and monotone:
-                    checks.append(_ok(name, why))
+                    checks.append(Check(name, "ok", why))
                 elif not close:
-                    checks.append(_fail(name, why))
+                    checks.append(Check(name, "fail", why))
                 else:
-                    checks.append(_fail(name, f"deviation not monotone: {why}"))
+                    checks.append(Check(name, "fail", f"deviation not monotone: {why}"))
     return checks
 
 

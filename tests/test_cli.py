@@ -195,6 +195,38 @@ def test_cycle_expansion_rejects_size_off_the_period(runner, tmp_path):
         assert "Traceback" not in res.output
 
 
+def _alternating_file(tmp_path, header=""):
+    """Unlabeled class with a_n = 1 at even n and no object at odd n."""
+    f = tmp_path / "alternating.seq"
+    f.write_text(f"labeling: unlabeled\n{header}1\n0\n1\n0\n1\n0\n1\n0\n1\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("header", ["", "period: 2\n"])
+def test_expansion_rejects_size_without_objects(runner, tmp_path, header):
+    f = _alternating_file(tmp_path, header)
+    res = invoke(runner, "expansion", "--custom", f, "--n", "5", "--terms", "1")
+    assert res.exit_code == 2
+    assert res.stderr == "RangeError: alternating has no objects of size 5\n"
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_expansion_with_zero_next_shape(runner, tmp_path, fmt):
+    # at n=6, r=2 the first omitted shape is a_3/a_6 = 0
+    f = _alternating_file(tmp_path)
+    res = invoke(runner, "expansion", "--custom", f, "--n", "6", "--terms", "2",
+                 "--format", fmt)
+    assert res.exit_code == 0
+    assert "Traceback" not in res.output
+    if fmt == "md":
+        assert "residual / next shape = undefined (next shape is 0)" in res.stdout
+    elif fmt == "csv":
+        assert res.stdout.splitlines()[-1] == "normalized_residual,,,"
+    else:
+        assert json.loads(res.stdout)["result"]["normalized_residual"] is None
+
+
 def test_expansion_json_carries_exact_rationals(runner):
     res = invoke(
         runner, "expansion", "--class", "tournaments", "--n", "20",
@@ -342,6 +374,17 @@ def test_oracle_default_budget_refuses_before_allocating(runner):
     res = invoke(runner, "oracle", "--class", "unlabeled_tournaments", "--n", "9")
     assert res.exit_code == 3
     assert "BudgetExceeded" in res.output and "budget 3000000" in res.output
+
+
+@pytest.mark.parametrize(
+    "command, zero_budget_exit",
+    [(["oracle", "--class", "tournaments", "--n", "3"], 3), (["verify", "--suite", "oracle"], 0)],
+)
+def test_negative_budget_is_a_usage_error(runner, command, zero_budget_exit):
+    res = invoke(runner, *command, "--budget", "-1")
+    assert res.exit_code == 2
+    assert "--budget" in res.output
+    assert invoke(runner, *command, "--budget", "0").exit_code == zero_budget_exit
 
 
 def test_unknown_class_exit_code(runner):

@@ -18,7 +18,6 @@ from seqasym.oracle import (
     _score_walk,
     _strong_components,
     canonical_tournament_code,
-    default_oracle_size,
     enumerate_tournament_parts,
     enumerate_unlabeled_tournament_parts,
     object_count,
@@ -146,15 +145,6 @@ def test_budget_refuses_oversized_runs():
     assert enumerate_tournament_parts(3, budget=8).total_enumerated == 8
 
 
-def test_default_sizes_are_defined_for_the_supported_grid():
-    assert default_oracle_size("tournaments", 1) == 7
-    assert default_oracle_size("permutations", 1) == 9
-    assert default_oracle_size("matchings", 2) == 4
-    assert default_oracle_size("unlabeled_tournaments", 1) == 6
-    # unknown combinations fall back to a budget-derived size
-    assert default_oracle_size("tournaments", 9) >= 1
-
-
 def test_oracle_dispatch_domain_errors():
     with pytest.raises(UnknownClass):
         oracle_for("widgets", 3)
@@ -215,4 +205,4 @@ def test_crosscheck_script_honours_zero_budget(capsys):
     spec.loader.exec_module(script)
     assert script.main(["--budget", "0"]) == 0
     out = capsys.readouterr().out
-    assert out.count("skipped") == len(script.DEFAULT_GRID)
+    assert out.count("skipped") == len(script.ORACLE_GRID)
