@@ -41,13 +41,10 @@ def main(argv=None):
         print(f"- {rep.class_name}: {rep.verdict}")
 
     print("\n## perturbation stability\n")
-    TU = catalog.unlabeled_tournaments()
-    N = min(args.N, 30)  # unlabeled counts are costly far out
-    b = [
-        Fraction(TU.value(n)) - Fraction(T.value(n), factorial(n))
-        for n in range(N + 1)
-    ]
-    rep = perturbation_check(T, b, 1, N)
+    tu = catalog.unlabeled_tournaments().values(args.N)
+    t = T.values(args.N)
+    b = [Fraction(tu[n]) - Fraction(t[n], factorial(n)) for n in range(args.N + 1)]
+    rep = perturbation_check(T, b, 1, args.N)
     print(f"- {rep.class_name}: {rep.verdict}")
     for note in rep.notes:
         print(f"  {note}")

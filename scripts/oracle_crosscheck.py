@@ -47,17 +47,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.budget is not None and args.budget < 0:
         parser.error(f"--budget must be nonnegative, got {args.budget}")
+    if args.n_max is not None and args.n_max < 1:
+        parser.error(f"--n-max must be at least 1, got {args.n_max}")
+    if args.d < 1:
+        parser.error(f"--d must be at least 1, got {args.d}")
+    if args.kind == "unlabeled_tournaments" and args.d != 1:
+        parser.error(f"--d must be 1 for --class unlabeled_tournaments, got {args.d}")
 
     sizes = {(kind, d): n_max for kind, d, n_max in ORACLE_GRID}
     grid = [(args.kind, args.d)] if args.kind else list(sizes)
-    if args.kind and not args.n_max and (args.kind, args.d) not in sizes:
+    if args.kind and args.n_max is None and (args.kind, args.d) not in sizes:
         parser.error(
             f"--n-max is required for --class {args.kind} --d {args.d}, "
             "which is off the verify --suite oracle grid"
         )
     all_ok = True
     for kind, d in grid:
-        n_max = args.n_max or sizes[(kind, d)]
+        n_max = sizes[(kind, d)] if args.n_max is None else args.n_max
         if args.budget is not None and object_count(kind, n_max, d) > args.budget:
             print(f"{kind}(d={d}): skipped, {object_count(kind, n_max, d):,} "
                   f"objects at n={n_max} exceeds budget {args.budget:,}")

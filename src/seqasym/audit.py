@@ -82,12 +82,10 @@ class AuditReport:
 def reduced_values(A: CountingSequence, N: int) -> list[Fraction]:
     """The audited sequence u_0..u_N: reduced, on the reindexed support."""
     p = A.period
-    out = []
-    for i in range(N + 1):
-        n = p * i
-        a = A.value(n)
-        out.append(Fraction(a, factorial(n)) if A.labeling == "labeled" else Fraction(a))
-    return out
+    a = A.values(p * N)
+    if A.labeling == "labeled":
+        return [Fraction(a[n], factorial(n)) for n in range(0, p * N + 1, p)]
+    return [Fraction(x) for x in a[::p]]
 
 
 def audit_sequence(

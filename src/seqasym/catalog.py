@@ -30,9 +30,12 @@ lifting machinery can be exercised against it.  ``linear_matchings`` is the
 decomposable lift carrying the same combinatorics.
 
 Unlabeled tournament counts use the classical cycle-index summation over
-partitions of n into odd parts; because that formula is imported knowledge, the
-test-suite validates it against an exhaustive isomorphism-class enumeration for
-n <= 6 before anything downstream may trust it.
+partitions of n into odd parts.  ``unlabeled_tournaments()`` computes
+a_0..a_N in one integer pass over the odd partitions of every size <= N;
+the per-n Fraction formula ``unlabeled_tournament_count`` is kept only as its
+independent check.  Because the formula is imported knowledge, the
+test-suite also validates it against an exhaustive isomorphism-class
+enumeration for n <= 6 before anything downstream may trust it.
 """
 
 from __future__ import annotations
@@ -72,12 +75,15 @@ class CountingSequence:
 
     Instances are immutable by convention: the value function must be pure,
     and the internal cache only ever grows, so concurrent readers are safe.
+    A class whose values come cheaper all at once gives ``_fill`` instead of
+    ``_fn``: ``_fill(n)`` returns a_0..a_n, and a miss at n caches them all.
     """
 
     name: str
     labeling: str  # "labeled" | "unlabeled"
     period: int
-    _fn: Callable[[int], int]
+    _fn: Callable[[int], int] | None = None
+    _fill: Callable[[int], list[int]] | None = field(default=None, repr=False)
     _cache: dict[int, int] = field(default_factory=dict, repr=False)
 
     def value(self, n: int) -> int:
@@ -85,11 +91,16 @@ class CountingSequence:
             raise RangeError("sequence indices start at 0")
         got = self._cache.get(n)
         if got is None:
-            got = self._fn(n)
-            self._cache[n] = got
+            if self._fill is None:
+                got = self._cache[n] = self._fn(n)
+            else:
+                self._cache.update(enumerate(self._fill(n)))
+                got = self._cache[n]
         return got
 
     def values(self, n_max: int) -> list[int]:
+        if self._fill is not None and n_max >= 0:
+            self.value(n_max)  # one filler pass covers every index below
         return [self.value(n) for n in range(n_max + 1)]
 
     def describe(self) -> str:
@@ -209,6 +220,48 @@ def constant_ones() -> CountingSequence:
 # ---------------------------------------------------------------------------
 
 
+def _unlabeled_tournament_counts(n_max: int) -> list[int]:
+    """Unlabeled tournament counts a_0..a_{n_max}, in one integer pass.
+
+    Every node of the tree of odd partitions (parts chosen in decreasing
+    order) is a partition λ of some size s <= n_max.  It carries q(λ) and
+    the weight n_max!/z_λ, and adds (n_max!/z_λ)·2^q(λ) into total[s];
+    each a_s is then total[s]/n_max!, an exact division.  One more cycle of
+    length l, the a-th of that length, divides the weight by l·a and adds
+    (l−1)/2 + (a−1)·l + Σ_p a_p·gcd(l, p) edge orbits, the sum running
+    over the cycles chosen before (see ``unlabeled_tournament_count``).
+    """
+    scale = factorial(n_max)
+    total = [0] * (n_max + 1)
+    chosen: list[tuple[int, int]] = []  # (cycle length, multiplicity)
+
+    def grow(size: int, top: int, w: int, q: int) -> None:
+        total[size] += w << q
+        for part in range(top - 1 + top % 2, 0, -2):
+            step = (part - 1) // 2 + sum(a * gcd(part, p) for p, a in chosen)
+            s, x, e, a = size, w, q, 0
+            while s + part <= n_max:
+                a += 1
+                s += part
+                x //= part * a
+                e += step
+                step += part
+                if part == 1:  # no smaller odd part: the node is a leaf
+                    total[s] += x << e
+                else:
+                    chosen.append((part, a))
+                    grow(s, min(part - 2, n_max - s), x, e)
+                    chosen.pop()
+
+    grow(0, n_max, scale, 0)
+    out = []
+    for t in total:
+        count, rest = divmod(t, scale)
+        assert rest == 0, "cycle-index average must be an integer"
+        out.append(count)
+    return out
+
+
 def _odd_partitions(n: int) -> Iterator[dict[int, int]]:
     """Partitions of n into odd parts, as {part: multiplicity} maps."""
 
@@ -240,6 +293,8 @@ def unlabeled_tournament_count(n: int) -> int:
 
     Averaging over the symmetric group gives the sum below over partitions of
     n into odd parts (z_λ = Π l^{a_l} a_l! is the usual centralizer size).
+    This per-n Fraction sum is the independent check of the one-pass
+    ``unlabeled_tournaments()`` values; no computation path calls it.
 
     >>> [unlabeled_tournament_count(n) for n in range(1, 8)]
     [1, 1, 2, 4, 12, 56, 456]
@@ -268,7 +323,7 @@ def unlabeled_tournaments() -> CountingSequence:
         name="unlabeled_tournaments",
         labeling="unlabeled",
         period=1,
-        _fn=unlabeled_tournament_count,
+        _fill=_unlabeled_tournament_counts,
     )
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import sys
 import time
+from typing import Callable
 
 import click
 
 from . import catalog
 from .asymptotics import (
+    ExpansionReport,
     cyc_coefficients,
     cyc_part_count,
     evaluate_partial_sum,
@@ -55,11 +57,12 @@ def _resolve(class_name: str | None, d: int, custom: str | None) -> catalog.Coun
     return catalog.resolve_class(class_name, d)
 
 
-def _emit(fmt: str, config: dict, result, human: str) -> None:
+def _emit(fmt: str, config: dict, result, human: Callable[[], str]) -> None:
+    """Print the json document, or the md/csv text, built only when asked for."""
     if fmt == "json":
         click.echo(json_document(config, result))
     else:
-        click.echo(human)
+        click.echo(human())
 
 
 def _run(body) -> None:
@@ -158,10 +161,8 @@ def cmd_table(class_name, d, kind, construction, m_range, k_range, n_range, fmt,
             "rows": [{"m": m, "values": list(vals)} for m, vals in rows],
         }
         corner = f"m\\{index_label}"
-        human = (
-            grid_csv(corner, cols, rows) if fmt == "csv" else grid_markdown(corner, cols, rows)
-        )
-        _emit(fmt, config, result, human)
+        grid = grid_csv if fmt == "csv" else grid_markdown
+        _emit(fmt, config, result, lambda: grid(corner, cols, rows))
 
     _run(body)
 
@@ -169,6 +170,72 @@ def cmd_table(class_name, d, kind, construction, m_range, k_range, n_range, fmt,
 # ---------------------------------------------------------------------------
 # expansion
 # ---------------------------------------------------------------------------
+
+
+def _expansion_text(report: ExpansionReport, fmt: str) -> str:
+    """The csv or md text of an expansion report."""
+    if fmt == "csv":
+        rows = [
+            (t.k, [t.coefficient, frac_str(t.shape), frac_str(t.value)])
+            for t in report.terms
+        ]
+        text = grid_csv("k", ["coefficient", "shape", "value"], rows)
+        text += f"\npartial_sum,,,{frac_str(report.partial_sum)}"
+        if report.exact_probability is not None:
+            text += f"\nexact_probability,,,{frac_str(report.exact_probability)}"
+            text += f"\nresidual,,,{frac_str(report.residual)}"
+            nr = report.normalized_residual
+            text += f"\nnormalized_residual,,,{'' if nr is None else frac_str(nr)}"
+        return text
+    shape_sym = (
+        "binom(n,k)*a(n-k)/a(n)" if report.labeling == "labeled" else "a(n-k)/a(n)"
+    )
+    lines = [
+        f"# {report.construction} expansion for {report.class_name}: "
+        f"m={report.m} parts at n={report.n}, r={report.terms_used}",
+        "",
+        f"term shape: coefficient * {shape_sym}",
+        "",
+    ]
+    rows = [
+        (
+            t.k,
+            [
+                t.coefficient,
+                frac_str(t.shape),
+                frac_str(t.value),
+                approx(t.value) + " (approx)",
+            ],
+        )
+        for t in report.terms
+    ]
+    lines.append(grid_markdown("k", ["coefficient", "shape", "value", "decimal"], rows))
+    lines.append("")
+    lines.append(
+        f"partial sum = {frac_str(report.partial_sum)}"
+        f" = {approx(report.partial_sum)} (approx)"
+    )
+    if report.exact_probability is not None:
+        lines.append(
+            f"exact probability = {frac_str(report.exact_probability)}"
+            f" = {approx(report.exact_probability)} (approx)"
+        )
+        lines.append(
+            f"residual = {frac_str(report.residual)}"
+            f" = {approx(report.residual)} (approx)"
+        )
+        nr = report.normalized_residual
+        lines.append(
+            "residual / next shape = "
+            + (
+                "undefined (next shape is 0)"
+                if nr is None
+                else f"{frac_str(nr)} = {approx(nr)} (approx)"
+            )
+        )
+    if report.note:
+        lines.append(f"note: {report.note}")
+    return "\n".join(lines)
 
 
 @main.command("expansion")
@@ -231,73 +298,7 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
             "normalized_residual": report.normalized_residual,
             "note": report.note,
         }
-        if fmt == "csv":
-            rows = [
-                (t.k, [t.coefficient, frac_str(t.shape), frac_str(t.value)])
-                for t in report.terms
-            ]
-            human = grid_csv("k", ["coefficient", "shape", "value"], rows)
-            human += f"\npartial_sum,,,{frac_str(report.partial_sum)}"
-            if report.exact_probability is not None:
-                human += f"\nexact_probability,,,{frac_str(report.exact_probability)}"
-                human += f"\nresidual,,,{frac_str(report.residual)}"
-                nr = report.normalized_residual
-                human += f"\nnormalized_residual,,,{'' if nr is None else frac_str(nr)}"
-        else:
-            shape_sym = (
-                "binom(n,k)*a(n-k)/a(n)"
-                if report.labeling == "labeled"
-                else "a(n-k)/a(n)"
-            )
-            lines = [
-                f"# {report.construction} expansion for {report.class_name}: "
-                f"m={report.m} parts at n={report.n}, r={report.terms_used}",
-                "",
-                f"term shape: coefficient * {shape_sym}",
-                "",
-            ]
-            rows = [
-                (
-                    t.k,
-                    [
-                        t.coefficient,
-                        frac_str(t.shape),
-                        frac_str(t.value),
-                        approx(t.value) + " (approx)",
-                    ],
-                )
-                for t in report.terms
-            ]
-            lines.append(
-                grid_markdown("k", ["coefficient", "shape", "value", "decimal"], rows)
-            )
-            lines.append("")
-            lines.append(
-                f"partial sum = {frac_str(report.partial_sum)}"
-                f" = {approx(report.partial_sum)} (approx)"
-            )
-            if report.exact_probability is not None:
-                lines.append(
-                    f"exact probability = {frac_str(report.exact_probability)}"
-                    f" = {approx(report.exact_probability)} (approx)"
-                )
-                lines.append(
-                    f"residual = {frac_str(report.residual)}"
-                    f" = {approx(report.residual)} (approx)"
-                )
-                nr = report.normalized_residual
-                lines.append(
-                    "residual / next shape = "
-                    + (
-                        "undefined (next shape is 0)"
-                        if nr is None
-                        else f"{frac_str(nr)} = {approx(nr)} (approx)"
-                    )
-                )
-            if report.note:
-                lines.append(f"note: {report.note}")
-            human = "\n".join(lines)
-        _emit(fmt, config, result, human)
+        _emit(fmt, config, result, lambda: _expansion_text(report, fmt))
 
     _run(body)
 
@@ -405,32 +406,36 @@ def cmd_audit(class_name, d, N, fmt, custom):
             },
             "notes": list(report.notes),
         }
-        tail = report.ratio_trace[-3:]
-        human_lines = [
-            f"# audit of {report.class_name} up to N={report.N}",
-            "",
-            f"verdict: {report.verdict}",
-            f"ratio trace tail (exact): {', '.join(frac_str(x) for x in tail)}",
-            f"ratio trace tail: {', '.join(approx(x) for x in tail)} (approx)",
-            f"ratio_linear_bound: {report.ratio_linear_bound}"
-            f" (witness {frac_str(report.ratio_linear_witness)}"
-            f" = {approx(report.ratio_linear_witness)} (approx))",
-            f"midpoint_monotone: {report.midpoint_monotone}"
-            + (
-                f" (first violation at n={report.midpoint_first_violation[0]},"
-                f" k={report.midpoint_first_violation[1]})"
-                if report.midpoint_first_violation
-                else ""
-            ),
-        ]
-        for r, vals in sorted(report.convolution_trace.items()):
-            human_lines.append(
-                f"convolution r={r} tail: {', '.join(approx(x) for x in vals[-3:])} (approx)"
-            )
-        for note in report.notes:
-            human_lines.append(f"note: {note}")
-        human_lines.append("finite-range evidence only; no verdict proves the limit.")
-        _emit(fmt, config, result, "\n".join(human_lines))
+
+        def human() -> str:
+            tail = report.ratio_trace[-3:]
+            human_lines = [
+                f"# audit of {report.class_name} up to N={report.N}",
+                "",
+                f"verdict: {report.verdict}",
+                f"ratio trace tail (exact): {', '.join(frac_str(x) for x in tail)}",
+                f"ratio trace tail: {', '.join(approx(x) for x in tail)} (approx)",
+                f"ratio_linear_bound: {report.ratio_linear_bound}"
+                f" (witness {frac_str(report.ratio_linear_witness)}"
+                f" = {approx(report.ratio_linear_witness)} (approx))",
+                f"midpoint_monotone: {report.midpoint_monotone}"
+                + (
+                    f" (first violation at n={report.midpoint_first_violation[0]},"
+                    f" k={report.midpoint_first_violation[1]})"
+                    if report.midpoint_first_violation
+                    else ""
+                ),
+            ]
+            for r, vals in sorted(report.convolution_trace.items()):
+                human_lines.append(
+                    f"convolution r={r} tail: {', '.join(approx(x) for x in vals[-3:])} (approx)"
+                )
+            for note in report.notes:
+                human_lines.append(f"note: {note}")
+            human_lines.append("finite-range evidence only; no verdict proves the limit.")
+            return "\n".join(human_lines)
+
+        _emit(fmt, config, result, human)
         click.echo(f"elapsed: {elapsed:.3f}s", err=True)
 
     _run(body)
@@ -475,16 +480,14 @@ def cmd_oracle(class_name, n_value, d, budget, fmt):
             "total_enumerated": result.total_enumerated,
         }
         rows = [(m, [c]) for m, c in sorted(result.counts_by_parts.items())]
-        human = "\n".join(
-            [
-                f"# {result.class_name}, size n={result.n}",
-                "",
-                grid_markdown("m", ["count"], rows),
-                "",
-                f"total enumerated: {result.total_enumerated}",
-            ]
-        )
-        _emit(fmt, config, payload, human)
+        human = [
+            f"# {result.class_name}, size n={result.n}",
+            "",
+            grid_markdown("m", ["count"], rows),
+            "",
+            f"total enumerated: {result.total_enumerated}",
+        ]
+        _emit(fmt, config, payload, lambda: "\n".join(human))
         if fmt != "json":
             click.echo(f"elapsed: {result.elapsed:.3f}s", err=True)
 

@@ -1,10 +1,13 @@
 """Catalog counting sequences: closed forms, Burnside counts, custom classes."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqasym import catalog
+from seqasym.audit import audit
 from seqasym.errors import (
     BadConstantTerm,
     NegativeCount,
@@ -50,6 +53,49 @@ def test_unlabeled_tournament_burnside_counts():
     assert A.values(10) == [1, 1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056]
     # growth sanity at the audit horizon: the count stays an exact integer
     assert A.value(40) % 10 in range(10)
+
+
+# OEIS A000568: tournaments on n nodes up to isomorphism, n = 0..15.
+A000568 = [
+    1, 1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056, 903753248, 154108311168,
+    48542114686912, 28401423719122304, 31021002160355166848,
+]
+
+
+def test_unlabeled_tournament_batch_matches_oeis():
+    assert catalog.unlabeled_tournaments().values(15) == A000568
+
+
+def test_unlabeled_tournament_batch_matches_per_n_formula():
+    got = catalog.unlabeled_tournaments().values(30)
+    assert got == [catalog.unlabeled_tournament_count(n) for n in range(31)]
+
+
+@pytest.mark.parametrize(
+    "order", list(permutations(["value40", "values10", "values50"])), ids="-".join
+)
+def test_unlabeled_tournament_cache_ignores_call_order(order):
+    want = catalog.unlabeled_tournaments().values(50)
+    A = catalog.unlabeled_tournaments()
+    for call in order:
+        if call == "value40":
+            assert A.value(40) == want[40]
+        else:
+            n_max = int(call[len("values"):])
+            assert A.values(n_max) == want[: n_max + 1]
+    assert A.values(50) == want
+    with pytest.raises(RangeError):
+        A.value(-1)
+
+
+def test_audit_runs_the_unlabeled_filler_once(monkeypatch):
+    calls = []
+    fill = catalog._unlabeled_tournament_counts
+    monkeypatch.setattr(
+        catalog, "_unlabeled_tournament_counts", lambda n: calls.append(n) or fill(n)
+    )
+    audit(catalog.unlabeled_tournaments(), 60)
+    assert calls == [60]
 
 
 def test_double_factorial():

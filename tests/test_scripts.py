@@ -1,5 +1,6 @@
 """The scripts under scripts/: each runs end to end in a fresh interpreter."""
 
+import pytest
 from conftest import run_script
 
 
@@ -30,3 +31,25 @@ def test_oracle_crosscheck_off_grid_needs_n_max():
     res = run_script("oracle_crosscheck.py", "--class", "tournaments", "--d", "3")
     assert res.returncode == 2
     assert "--n-max" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_audit_survey_small_range():
+    res = run_script("audit_survey.py", "--N", "12")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.rstrip().endswith("finite-range evidence only; no verdict proves the limit.")
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("--class", "tournaments", "--n-max", "-1"), "--n-max"),
+        (("--class", "tournaments", "--n-max", "0"), "--n-max"),
+        (("--class", "tournaments", "--d", "0", "--n-max", "3"), "--d"),
+        (("--class", "unlabeled_tournaments", "--d", "2", "--n-max", "3"), "--d"),
+    ],
+    ids=["n-max-negative", "n-max-zero", "d-zero", "d-unlabeled"],
+)
+def test_oracle_crosscheck_rejects_bad_arguments(args, named):
+    res = run_script("oracle_crosscheck.py", *args)
+    assert res.returncode == 2
+    assert named in res.stderr and "Traceback" not in res.stderr
