@@ -4,7 +4,10 @@
 Runs the grid of ``seqasym verify --suite oracle`` (or a single class) and
 prints a per-size line with counts by part number, the algebraic
 prediction, and timing.  This is the slow, independent ground truth behind
-every other number in the package.  A class off that grid needs --n-max.
+every other number in the package.  Without --class, --d keeps the grid
+rows of that d.  A class off that grid needs --n-max.  The closing line
+counts the rows that ran and were skipped, and claims a match only for
+rows that ran.
 """
 
 import argparse
@@ -40,7 +43,7 @@ def run_one(kind, d, n_max, budget):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--class", dest="kind", choices=ORACLE_KINDS, default=None)
-    parser.add_argument("--d", type=int, default=1)
+    parser.add_argument("--d", type=int, default=None, help="default: 1 with --class, else every d")
     parser.add_argument("--n-max", type=int, default=None)
     parser.add_argument("--budget", type=int, default=None,
                         help="refuse any single enumeration larger than this")
@@ -49,19 +52,28 @@ def main(argv=None):
         parser.error(f"--budget must be nonnegative, got {args.budget}")
     if args.n_max is not None and args.n_max < 1:
         parser.error(f"--n-max must be at least 1, got {args.n_max}")
-    if args.d < 1:
+    if args.d is not None and args.d < 1:
         parser.error(f"--d must be at least 1, got {args.d}")
-    if args.kind == "unlabeled_tournaments" and args.d != 1:
+    if args.kind == "unlabeled_tournaments" and args.d not in (None, 1):
         parser.error(f"--d must be 1 for --class unlabeled_tournaments, got {args.d}")
 
     sizes = {(kind, d): n_max for kind, d, n_max in ORACLE_GRID}
-    grid = [(args.kind, args.d)] if args.kind else list(sizes)
-    if args.kind and args.n_max is None and (args.kind, args.d) not in sizes:
-        parser.error(
-            f"--n-max is required for --class {args.kind} --d {args.d}, "
-            "which is off the verify --suite oracle grid"
-        )
+    if args.kind:
+        grid = [(args.kind, args.d or 1)]
+        if args.n_max is None and grid[0] not in sizes:
+            parser.error(
+                f"--n-max is required for --class {args.kind} --d {grid[0][1]}, "
+                "which is off the verify --suite oracle grid"
+            )
+    else:
+        grid = [row for row in sizes if args.d in (None, row[1])]
+        if not grid:
+            parser.error(
+                f"--d {args.d} matches no row of the verify --suite oracle grid "
+                f"(d in {sorted({d for _, d in sizes})}); give --class and --n-max"
+            )
     all_ok = True
+    ran = 0
     for kind, d in grid:
         n_max = sizes[(kind, d)] if args.n_max is None else args.n_max
         if args.budget is not None and object_count(kind, n_max, d) > args.budget:
@@ -69,7 +81,14 @@ def main(argv=None):
                   f"objects at n={n_max} exceeds budget {args.budget:,}")
             continue
         all_ok = run_one(kind, d, n_max, args.budget) and all_ok
-    print("all enumerations match" if all_ok else "MISMATCH FOUND")
+        ran += 1
+    rows = f"rows ran: {ran}, skipped: {len(grid) - ran}"
+    if not all_ok:
+        print(f"MISMATCH FOUND; {rows}")
+    elif ran:
+        print(f"all enumerations match; {rows}")
+    else:
+        print(f"nothing compared; {rows}")
     return 0 if all_ok else 1
 
 

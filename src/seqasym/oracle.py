@@ -7,26 +7,25 @@ objects themselves.  The oracles know nothing about generating functions:
 * tournaments(d): all (d+1)^C(n,2) assignments of pair outcomes (the value
   of a pair {i,j}, i<j, is how many of the d games i won); vertex i beats j
   if it won at least one game; parts = strongly connected components of the
-  beat digraph.  For d >= 2 (semicomplete digraphs) these come from Tarjan's
-  algorithm, and the condensation is asserted to be a chain when m > 1.  For
-  d = 1 the 2^C(n,2) tournaments are walked in reflected Gray-code order,
-  one arc flip and two score updates per step, and each distinct score
-  vector gets its part count from Landau's score rule: the number of k for
-  which the k smallest scores sum to C(k,2) (Landau 1953; Moon, Topics on
-  Tournaments, 1968);
+  beat digraph, read off each distinct weighted score vector (games won per
+  vertex) by Landau's rule scaled by d: the number of k for which the k
+  smallest scores sum to d*C(k,2) (Landau 1953; Moon, Topics on Tournaments,
+  1968; proof at ``enumerate_tournament_parts``);
 * permutations(d): all (n!)^d tuples; a position k is a breakpoint if every
-  member maps {1..k} to itself; parts = common breakpoints, computed by
-  AND-ing per-member prefix-maximum bitmasks;
+  member maps {1..k} to itself; parts = common breakpoints, the AND of the
+  members' prefix-maximum bitmasks, taken over d-tuples of distinct masks;
 * matchings(d): all ((2n-1)!!)^d tuples of perfect matchings of {1..2n};
   breakpoints are the even prefixes closed under every member;
 * unlabeled tournaments: one representative per isomorphism orbit, found by
   ascending scan with orbit marking (the first unvisited code is the minimal
   member of a fresh orbit, so each orbit is expanded once); parts come from
-  Tarjan's algorithm with the chain assertion, as for d >= 2.
+  Tarjan's algorithm, with the condensation asserted to be a chain.
 
-Each enumerator makes one walk over its whole index space in a fixed order
-(``itertools.product`` over tuples; for d=1 tournaments, step t visits Gray
-code t ^ (t >> 1), a bijection), so results are deterministic.
+Each oracle reads an exact invariant off its objects (a score vector, a
+breakpoint mask), tallies it, and turns each distinct value into a part
+count once; the score and breakpoint tallies are asserted to sum to the
+number of objects.  Tests run Tarjan on every object at small sizes to
+check the rules.
 """
 
 from __future__ import annotations
@@ -35,9 +34,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from math import comb, factorial
-from operator import and_
 
 from .errors import BudgetExceeded, RangeError, UnknownClass
 
@@ -172,32 +169,25 @@ def _check_budget(kind: str, n: int, d: int, budget: int | None) -> None:
 def enumerate_tournament_parts(
     n: int, d: int = 1, budget: int | None = None
 ) -> OracleResult:
-    """Part-count distribution over all (d+1)^C(n,2) multi-tournaments."""
+    """Part-count distribution over all (d+1)^C(n,2) multi-tournaments.
+
+    Parts are counted by the weighted Landau rule on each distinct score
+    vector.  A set S of k vertices sends no beat-arc out of S exactly when
+    it wins no game against the rest, i.e. its scores sum to d*C(k,2); then
+    S scores at most d(k-1) each and the rest at least dk, so S is the k
+    smallest, and the sizes k of such sets are the part boundaries.
+    """
     if n < 1 or d < 1:
         raise RangeError("need n >= 1 and d >= 1")
     _check_budget("tournaments", n, d, budget)
     t0 = time.perf_counter()
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    P = len(pairs)
-    total = (d + 1) ** P
+    total = (d + 1) ** len(pairs)
+    tally = _score_tally(n, pairs, d)
+    assert sum(tally.values()) == total, "tally skipped or repeated outcomes"
     counts: Counter[int] = Counter()
-    if d == 1:
-        tally = _score_walk(n, pairs)
-        assert sum(tally.values()) == total, "walk skipped or repeated codes"
-        for key, c in tally.items():
-            counts[_landau_parts(n, key)] += c
-    else:
-        for outcome in itertools.product(range(d + 1), repeat=P):
-            adj = [0] * n
-            for (i, j), v in zip(pairs, outcome):
-                if v:
-                    adj[i] |= 1 << j
-                if v < d:
-                    adj[j] |= 1 << i
-            m, comp = _strong_components(n, adj)
-            if m > 1:
-                assert _condensation_is_chain(n, adj, comp), "parts not linearly ordered"
-            counts[m] += 1
+    for key, c in tally.items():
+        counts[_landau_parts(n, key, d)] += c
     elapsed = time.perf_counter() - t0
     return OracleResult(
         class_name=f"tournaments(d={d})",
@@ -208,49 +198,47 @@ def enumerate_tournament_parts(
     )
 
 
-def _score_walk(n: int, pairs: list[tuple[int, int]]) -> dict[int, int]:
-    """Tally of score-vector keys over all tournaments, visited in Gray-code
-    order ``t ^ (t >> 1)``.
+def _score_tally(n: int, pairs: list[tuple[int, int]], d: int) -> dict[int, int]:
+    """Tally of weighted score-vector keys over all (d+1)^len(pairs) outcomes.
 
-    Bit ``idx`` of a code set means ``pairs[idx] = (i, j)`` has i beating j.
-    The key of a score vector is ``sum(score[v] * n**v)``; step t flips arc
-    ``ctz(t)``, which moves the key by ``+-(n**i - n**j)``.
+    The key is ``sum(score[v] * base**v)`` with base ``d(n-1)+1``.  Pairs are
+    folded in one at a time; outcome ``v = 0..d`` of ``(i, j)`` gives i v wins
+    and j the other d-v.
     """
-    powers = [n**v for v in range(n)]
-    delta = [powers[i] - powers[j] for i, j in pairs]
-    key = sum(powers[j] for _, j in pairs)  # code 0: j beats i on every pair
-    tally = {key: 1}
-    get = tally.get
-    for t in range(1, 1 << len(pairs)):
-        low = t & -t
-        # the flipped bit of t ^ (t >> 1) is now the complement of t's next bit
-        if t & (low << 1):
-            key -= delta[low.bit_length() - 1]
-        else:
-            key += delta[low.bit_length() - 1]
-        tally[key] = get(key, 0) + 1
+    base = d * (n - 1) + 1
+    powers = [base**v for v in range(n)]
+    tally = {0: 1}
+    for i, j in pairs:
+        steps = [v * powers[i] + (d - v) * powers[j] for v in range(d + 1)]
+        folded: dict[int, int] = {}
+        get = folded.get
+        for key, c in tally.items():
+            for step in steps:
+                folded[key + step] = get(key + step, 0) + c
+        tally = folded
     return tally
 
 
-def _landau_parts(n: int, key: int) -> int:
-    """Strong components of any tournament with this score-vector key.
+def _landau_parts(n: int, key: int, d: int) -> int:
+    """Strong components of any d-tournament with this weighted score key.
 
-    Landau's rule: the count of k for which the k smallest scores sum to
-    C(k,2).  Asserts the vector is a score sequence (total C(n,2), every
-    sorted prefix of length k at least C(k,2)).
+    Landau's rule, weighted by d: the count of k for which the k smallest
+    scores sum to d*C(k,2).  Asserts the vector is a weighted score sequence
+    (total d*C(n,2), every sorted prefix of length k at least d*C(k,2)).
     """
+    base = d * (n - 1) + 1
     scores = []
     for _ in range(n):
-        key, s = divmod(key, n)
+        key, s = divmod(key, base)
         scores.append(s)
     scores.sort()
     parts = prefix = 0
     for k, s in enumerate(scores, start=1):
         prefix += s
-        floor = k * (k - 1) // 2
+        floor = d * (k * (k - 1) // 2)
         assert prefix >= floor, "not a score sequence"
         parts += prefix == floor
-    assert prefix == n * (n - 1) // 2, "not a score sequence"
+    assert prefix == d * (n * (n - 1) // 2), "not a score sequence"
     return parts
 
 
@@ -295,12 +283,22 @@ def enumerate_permutation_parts(
 
 
 def _common_breakpoints(masks: list[int], d: int) -> Counter[int]:
-    """Tally of common-breakpoint counts over all d-tuples of members."""
-    if d == 1:  # product() would copy the whole mask list (9! entries at n=9)
-        return Counter(mask.bit_count() for mask in masks)
-    return Counter(
-        reduce(and_, members).bit_count() for members in itertools.product(masks, repeat=d)
-    )
+    """Tally of common-breakpoint counts over all d-tuples of members.
+
+    A d-tuple of members has the common breakpoints of its masks, so only
+    d-tuples of distinct masks are visited, each weighted by the product of
+    their multiplicities in ``masks``.
+    """
+    tally = Counter(masks)
+    counts: Counter[int] = Counter()
+    for members in itertools.product(tally.items(), repeat=d):
+        common, weight = -1, 1
+        for mask, c in members:
+            common &= mask
+            weight *= c
+        counts[common.bit_count()] += weight
+    assert sum(counts.values()) == len(masks) ** d, "tuples skipped or repeated"
+    return counts
 
 
 # ---------------------------------------------------------------------------

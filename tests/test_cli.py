@@ -4,9 +4,12 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqasym.cli import main, parse_range
 from seqasym.errors import RangeError
+from seqasym.oracle import ORACLE_KINDS
 
 from conftest import run_python
 
@@ -374,6 +377,25 @@ def test_oracle_default_budget_refuses_before_allocating(runner):
     res = invoke(runner, "oracle", "--class", "unlabeled_tournaments", "--n", "9")
     assert res.exit_code == 3
     assert "BudgetExceeded" in res.output and "budget 3000000" in res.output
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(ORACLE_KINDS),
+    n=st.integers(min_value=-1, max_value=9),
+    d=st.integers(min_value=-1, max_value=4),
+    budget=st.sampled_from([0, 1000, 100_000]),
+)
+def test_oracle_arguments_end_in_a_known_exit_code(kind, n, d, budget):
+    """Every oracle call succeeds (0), is refused as a usage or range error
+    (2) or as over budget (3), and never ends in an uncaught exception."""
+    res = CliRunner().invoke(
+        main,
+        ["oracle", "--class", kind, "--n", str(n), "--d", str(d), "--budget", str(budget)],
+    )
+    assert res.exit_code in (0, 2, 3), (res.exit_code, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 """Brute-force enumerators: frozen small cases, budgets, canonicalization,
-Landau's score rule against Tarjan."""
+the weighted Landau rule against Tarjan, grouped breakpoint tallies."""
 
 import importlib.util
+import itertools
 from collections import Counter
+from functools import reduce
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -11,11 +14,13 @@ from seqasym import catalog, oracle
 from seqasym.decomposition import parts_table
 from seqasym.errors import BudgetExceeded, RangeError, UnknownClass
 from seqasym.oracle import (
-    _code_adjacency,
+    _common_breakpoints,
     _condensation_is_chain,
     _landau_parts,
+    _matching_prefix_masks,
     _pair_table,
-    _score_walk,
+    _prefix_max_masks,
+    _score_tally,
     _strong_components,
     canonical_tournament_code,
     enumerate_tournament_parts,
@@ -28,8 +33,10 @@ from seqasym.oracle import (
 FROZEN = {
     ("tournaments", 3, 1): {1: 2, 3: 6},
     ("tournaments", 4, 2): {1: 543, 2: 126, 3: 36, 4: 24},
+    ("tournaments", 3, 3): {1: 46, 2: 12, 3: 6},
     ("permutations", 3, 1): {1: 3, 2: 2, 3: 1},
     ("permutations", 2, 2): {1: 3, 2: 1},
+    ("permutations", 3, 3): {1: 201, 2: 14, 3: 1},
     ("matchings", 2, 1): {1: 2, 2: 1},
     ("matchings", 3, 2): {1: 208, 2: 16, 3: 1},
     ("unlabeled_tournaments", 3, 1): {1: 1, 3: 1},
@@ -95,36 +102,74 @@ def test_unlabeled_shards_expand_each_orbit_once(monkeypatch):
     assert calls["n"] == 12 * 120  # one expansion by the 5! relabelings per orbit
 
 
-def _score_key(scores):
-    n = len(scores)
-    return sum(s * n**v for v, s in enumerate(scores))
+def _score_key(scores, d):
+    base = d * (len(scores) - 1) + 1
+    return sum(s * base**v for v, s in enumerate(scores))
 
 
 def test_landau_rule_on_known_tournaments():
     for n in range(1, 8):
-        assert _landau_parts(n, _score_key(list(range(n)))) == n  # transitive
-    assert _landau_parts(5, _score_key([2] * 5)) == 1  # regular on 5 vertices
+        assert _landau_parts(n, _score_key(list(range(n)), 1), 1) == n  # transitive
+    assert _landau_parts(5, _score_key([2] * 5, 1), 1) == 1  # regular on 5 vertices
     with pytest.raises(AssertionError):
-        _landau_parts(4, _score_key([0, 0, 3, 3]))  # two vertices of score 0
+        _landau_parts(4, _score_key([0, 0, 3, 3], 1), 1)  # two vertices of score 0
     with pytest.raises(AssertionError):
-        _landau_parts(3, _score_key([2, 2, 2]))  # six wins in three games
+        _landau_parts(3, _score_key([2, 2, 2], 1), 1)  # six wins in three games
+    for n in range(1, 7):
+        # d=2 transitive: vertex v wins both games against every lower vertex
+        assert _landau_parts(n, _score_key([2 * v for v in range(n)], 2), 2) == n
+        # every pair split 1-1: each vertex beats every other, one part
+        assert _landau_parts(n, _score_key([n - 1] * n, 2), 2) == 1
+    with pytest.raises(AssertionError):
+        _landau_parts(3, _score_key([0, 0, 6], 2), 2)  # two vertices of score 0
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_landau_rule_matches_tarjan_on_every_tournament(n):
-    """Score rule against Tarjan and the chain assertion, code by code, and
-    the Gray-code walk against the score vectors read off every code."""
+@pytest.mark.parametrize(
+    "n,d",
+    [
+        pytest.param(n, d, id=str(n) if d == 1 else f"{n}-d{d}")
+        for d, n_max in ((1, 6), (2, 5), (3, 4))
+        for n in range(1, n_max + 1)
+    ],
+)
+def test_landau_rule_matches_tarjan_on_every_tournament(n, d):
+    """Weighted score rule against Tarjan and the chain assertion, outcome by
+    outcome, and the score tally against the keys read off every outcome."""
     pairs, _ = _pair_table(n)
     direct = Counter()
-    for code in range(1 << len(pairs)):
-        adj = _code_adjacency(code, n, pairs)
-        key = _score_key([row.bit_count() for row in adj])
+    for outcome in itertools.product(range(d + 1), repeat=len(pairs)):
+        adj = [0] * n
+        scores = [0] * n
+        for (i, j), v in zip(pairs, outcome):
+            scores[i] += v
+            scores[j] += d - v
+            if v:
+                adj[i] |= 1 << j
+            if v < d:
+                adj[j] |= 1 << i
+        key = _score_key(scores, d)
         m, comp = _strong_components(n, adj)
-        assert _landau_parts(n, key) == m, (n, code)
+        assert _landau_parts(n, key, d) == m, (n, d, outcome)
         if m > 1:
-            assert _condensation_is_chain(n, adj, comp), (n, code)
+            assert _condensation_is_chain(n, adj, comp), (n, d, outcome)
         direct[key] += 1
-    assert _score_walk(n, pairs) == direct
+    assert _score_tally(n, pairs, d) == direct
+
+
+@pytest.mark.parametrize(
+    "masks_of,n,d",
+    [(_prefix_max_masks, n, d) for d in (2, 3) for n in range(1, 6)]
+    + [(_matching_prefix_masks, n, 3) for n in range(1, 4)],
+    ids=lambda v: v.__name__.strip("_") if callable(v) else str(v),
+)
+def test_grouped_breakpoints_match_every_tuple(masks_of, n, d):
+    """Distinct-mask d-tuples weighted by multiplicity against one AND per
+    raw d-tuple of members."""
+    masks = masks_of(n)
+    naive = Counter(
+        reduce(and_, members).bit_count() for members in itertools.product(masks, repeat=d)
+    )
+    assert _common_breakpoints(masks, d) == naive
 
 
 def test_object_counts():
@@ -205,4 +250,6 @@ def test_crosscheck_script_honours_zero_budget(capsys):
     spec.loader.exec_module(script)
     assert script.main(["--budget", "0"]) == 0
     out = capsys.readouterr().out
-    assert out.count("skipped") == len(script.ORACLE_GRID)
+    assert out.count("skipped,") == len(script.ORACLE_GRID)
+    assert "all enumerations match" not in out
+    assert out.splitlines()[-1] == f"nothing compared; rows ran: 0, skipped: {len(script.ORACLE_GRID)}"

@@ -33,6 +33,30 @@ def test_oracle_crosscheck_off_grid_needs_n_max():
     assert "--n-max" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_oracle_crosscheck_d_keeps_grid_rows_of_that_d():
+    res = run_script("oracle_crosscheck.py", "--d", "2")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert {line.split()[0] for line in lines[:-1]} == {
+        "tournaments(d=2)", "permutations(d=2)", "matchings(d=2)"
+    }
+    assert lines[-1] == "all enumerations match; rows ran: 3, skipped: 0"
+
+
+def test_oracle_crosscheck_d_off_the_grid():
+    res = run_script("oracle_crosscheck.py", "--d", "3")
+    assert res.returncode == 2
+    assert "--d 3" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_oracle_crosscheck_closing_line_counts_skipped_rows():
+    res = run_script("oracle_crosscheck.py", "--d", "1", "--budget", "40000")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("skipped,") == 2  # tournaments n=7, permutations n=9
+    assert res.stdout.splitlines()[-1] == "all enumerations match; rows ran: 2, skipped: 2"
+
+
 def test_audit_survey_small_range():
     res = run_script("audit_survey.py", "--N", "12")
     assert res.returncode == 0, res.stderr
