@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalog import CountingSequence
-from .decomposition import irreducible_counts, part_count, parts_table
+from .decomposition import first_part_counts, part_count, parts_table
 from .errors import LeadingTermUndefined, RangeError, UnsupportedF
 from .series import PowerSeries
 
@@ -56,8 +56,6 @@ __all__ = [
     "bender_compose",
     "cyc_class",
     "cyc_part_count",
-    "minimal_part_size",
-    "column_sum_bound",
 ]
 
 
@@ -161,20 +159,6 @@ def set_via_seq_coefficients(A: CountingSequence, k_max: int) -> CoefficientTabl
         m_max=1,
         _rows=(row,),
     )
-
-
-def minimal_part_size(A: CountingSequence, probe_to: int = 40) -> int:
-    """Smallest n >= 1 with a nonzero irreducible count."""
-    b = irreducible_counts(A, probe_to)
-    for n in range(1, probe_to + 1):
-        if b[n] != 0:
-            return n
-    raise RangeError(f"{A.name}: no irreducible object of size <= {probe_to}")
-
-
-def column_sum_bound(k: int, mu: int) -> int:
-    """Largest m that can contribute a nonzero coefficient in column k."""
-    return k // mu + 1
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +379,29 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
     C = 1 + log(1/(1-B)) = 1 + log A: one empty object, and c_n objects of
     size n >= 1.  Differentiating, A' = C' A, which is the labeled recurrence
 
-        c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k}.
+        c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k},
+
+    the first-part recurrence with weight C(n-1, k-1): c_1..c_N come from one
+    :func:`first_part_counts` pass over a_0..a_N.
     """
     if A_seq.labeling != "labeled":
         raise RangeError("the cycle construction is defined for labeled classes")
-    c: list[int] = [1]
 
-    def fn(n: int) -> int:
-        a = A_seq.values(n)
-        for i in range(len(c), n + 1):
-            c.append(a[i] - sum(comb(i - 1, k - 1) * c[k] * a[i - k] for k in range(1, i)))
-        return c[n]
+    def fill(n: int) -> list[int]:
+        c = first_part_counts(A_seq.values(n), _rooted_weight)
+        c[0] = 1
+        return c
 
     return CountingSequence(
         name=f"cyc({A_seq.name})",
         labeling="labeled",
         period=1,
-        _fn=fn,
+        _fill=fill,
     )
+
+
+def _rooted_weight(n: int, k: int) -> int:
+    return comb(n - 1, k - 1)
 
 
 def cyc_part_count(A_seq: CountingSequence, m: int, n: int) -> int:

@@ -31,13 +31,22 @@ summed by the symmetry h_k = h_{n-k}, and |u_k u_{n-k}| < |u_{k+1} u_{n-k-1}|
 is h_k < h_{k+1}, since the common factor L² cancels.  One pass over n shares
 the half products h_k (k <= n/2) between both; a Fraction is built only for
 each reported S_{n,r}, in lowest terms like every other trace value.
+
+Both steps split off powers of two, which the reduced values of classes like
+tournaments (u_n = 2^C(n,2)/n!) carry in most of their bits.  With
+|P_k| = o_k·2^{t_k}, o_k odd (t_k = 0 when P_k = 0, as u_0 may be), each half
+product is h_k = (o_k·o_{n-k}) << (t_k + t_{n-k}), a product of the odd parts
+only.  Before each S_{n,r} is built, the numerator and the denominator
+L·P_{n-r} lose their powers of two separately; the gcd runs on the odd parts,
+and the power 2^e of the difference goes back into the numerator (e > 0) or
+the denominator (e < 0) of the reduced fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Sequence, Union
 
 from .catalog import CountingSequence
@@ -127,16 +136,21 @@ def audit_sequence(
     linear_ok = max(linear[tail_start - 1 :]) <= max(linear[: tail_start - 1])
 
     # Convolution traces and midpoint test in one integer pass over n (see
-    # the module docstring): P_k = u_k·L and w_k = |P_k|.
+    # the module docstring): P_k = u_k·L = ±o_k·2^{t_k} and L = o_L·2^{t_L}.
     L = lcm(*(x.denominator for x in u))
     P = [x.numerator * (L // x.denominator) for x in u]
-    w = [abs(p) for p in P]
+    t = [_twos(p) for p in P]
+    signed_odd = [p >> e for p, e in zip(P, t)]
+    o = [abs(x) for x in signed_odd]
+    t_L = _twos(L)
+    o_L = L >> t_L
     conv_lists: dict[int, list[Fraction]] = {r: [] for r in range(1, r_max + 1)}
     first_violation = None
     bad_tail = 0
     for n in range(2, N + 1):
         half = n // 2
-        h = [0] + [w[k] * w[n - k] for k in range(1, half + 1)]  # h[k], k <= n/2
+        # h[k] = |P_k P_{n-k}| for k <= n/2
+        h = [0] + [(o[k] * o[n - k]) << (t[k] + t[n - k]) for k in range(1, half + 1)]
         bad = next((k for k in range(1, half) if h[k] < h[k + 1]), None)
         if bad is not None:
             if first_violation is None:
@@ -145,7 +159,8 @@ def audit_sequence(
                 bad_tail += 1
         s = 2 * sum(h) - (h[half] if n % 2 == 0 else 0)  # sum_{k=1}^{n-1} h_k
         for r in range(1, min(r_max, half) + 1):
-            conv_lists[r].append(Fraction(s, L * P[n - r]))
+            # S_{n,r} = s / (L·P_{n-r})
+            conv_lists[r].append(_fraction(s, o_L * signed_odd[n - r], t_L + t[n - r]))
             s -= 2 * h[r]
     conv = {r: tuple(trace) for r, trace in conv_lists.items()}
 
@@ -168,6 +183,22 @@ def audit_sequence(
         midpoint_first_violation=first_violation,
         verdict=verdict,
     )
+
+
+def _twos(x: int) -> int:
+    """The exponent of 2 in x; 0 for x = 0."""
+    return (x & -x).bit_length() - 1 if x else 0
+
+
+def _fraction(num: int, den_odd: int, den_twos: int) -> Fraction:
+    """num / (den_odd·2^den_twos) for an odd den_odd, with the gcd taken on
+    the odd parts only."""
+    e = _twos(num)
+    num >>= e
+    g = gcd(num, den_odd)
+    num, den_odd = num // g, den_odd // g
+    e -= den_twos
+    return Fraction(num << e, den_odd) if e >= 0 else Fraction(num, den_odd << -e)
 
 
 def audit(A: CountingSequence, N: int, r_max: int = 3) -> AuditReport:

@@ -103,9 +103,6 @@ class CountingSequence:
             self.value(n_max)  # one filler pass covers every index below
         return [self.value(n) for n in range(n_max + 1)]
 
-    def describe(self) -> str:
-        return f"{self.name} ({self.labeling}, period {self.period})"
-
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -426,22 +423,39 @@ def load_custom(path: str | Path) -> CountingSequence:
 # registry
 # ---------------------------------------------------------------------------
 
-#: factories for classes addressable by name; values take the d parameter
-#: (ignored by the parameterless ones).
+
+def _without_d(make: Callable[[], CountingSequence]) -> Callable[[int], CountingSequence]:
+    """Factory of a class with no d parameter: it exists for d = 1 only."""
+
+    def factory(d: int) -> CountingSequence:
+        if d != 1:
+            raise RangeError(
+                f"--d {d}: {make().name} has no d parameter; only --d 1 is defined"
+            )
+        return make()
+
+    return factory
+
+
+#: factories for classes addressable by name; values take the d parameter,
+#: and the parameterless classes refuse any d other than 1.
 CATALOG_FACTORIES: dict[str, Callable[[int], CountingSequence]] = {
     "tournaments": lambda d: tournaments(d),
     "linear_orders": lambda d: linear_orders(d),
     "permutations": lambda d: permutations(d),
     "matchings": lambda d: matchings(d),
-    "matchings_labeled": lambda d: matchings_labeled(),
-    "linear_matchings": lambda d: linear_matchings(),
-    "unlabeled_tournaments": lambda d: unlabeled_tournaments(),
-    "constant-1": lambda d: constant_ones(),
+    "matchings_labeled": _without_d(matchings_labeled),
+    "linear_matchings": _without_d(linear_matchings),
+    "unlabeled_tournaments": _without_d(unlabeled_tournaments),
+    "constant-1": _without_d(constant_ones),
 }
 
 
 def resolve_class(name: str, d: int = 1) -> CountingSequence:
-    """Look up a catalog class by CLI name."""
+    """Look up a catalog class by CLI name.
+
+    A class without a d parameter raises RangeError for any d other than 1.
+    """
     from .errors import UnknownClass
 
     try:

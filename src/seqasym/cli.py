@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error, 3 budget
 exceeded.  All machine output (csv/json) is exact and byte-deterministic for
 a fixed configuration; human output may add 6-significant-digit decimals
 marked "(approx)".  Timings go to stderr only: ``audit`` and ``verify``
-always end with ``elapsed: X.XXXs`` there, ``oracle`` in human formats.
+always end with ``elapsed: X.XXXs`` there, ``oracle`` in human formats;
+``verify`` writes ``elapsed <suite>: X.XXXs`` before it for each suite run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .decomposition import parts_table
 from .errors import RangeError, SeqasymError
 from .oracle import DEFAULT_BUDGET, ORACLE_KINDS, oracle_for
 from .render import approx, frac_str, grid_csv, grid_markdown, json_document
-from .suites import SUITE_NAMES, run_suite
+from .suites import MEMBER_SUITES, SUITE_NAMES, run_suite
 
 FORMATS = click.Choice(["md", "csv", "json"])
 
@@ -326,7 +327,11 @@ def cmd_verify(suite, budget, workers, fmt):
 
     def body():
         t0 = time.perf_counter()
-        checks = run_suite(suite, budget=budget)
+        checks = []
+        for name in MEMBER_SUITES if suite == "all" else (suite,):
+            t_suite = time.perf_counter()
+            checks += run_suite(name, budget=budget)
+            click.echo(f"elapsed {name}: {time.perf_counter() - t_suite:.3f}s", err=True)
         elapsed = time.perf_counter() - t0
         n_fail = sum(1 for c in checks if c.status == "fail")
         n_skip = sum(1 for c in checks if c.status == "skip")

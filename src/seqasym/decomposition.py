@@ -21,9 +21,22 @@ The irreducible counts come from splitting off the first part of each object,
 
     b_n = a_n - sum_{k=1}^{n-1} C(n,k) b_k a_{n-k}.
 
-Where a value a_j is a power of two (tournaments, multitournaments, the
-constant-1 class), the product b_k a_j is a left shift by log2 a_j; the test
-is made once per value and names no class.
+:func:`first_part_counts` evaluates this sum, and the cycle-class recurrence
+with weight C(n-1,k-1), in Horner form when every ratio r_j = a_j/a_{j-1}
+(j >= 2) is an integer with a_{j-1} > 0: then a_{n-k} = a_1 r_2 ... r_{n-k},
+so with y_k = C(n,k) b_k
+
+    T <- T·r_{n-k+1} + y_k   for k = 1..n-1,      b_n = a_n - a_1·T,
+
+and each big-by-big product C(n,k) b_k a_{n-k} becomes a product of T with
+the small ratio (a left shift where r_j is a power of two).  The test is made
+on the values and names no class: it holds for tournaments, linear orders,
+permutations, matchings and the constant-1 class.  Every other input
+(periodic classes, unlabeled tournaments, most custom files) takes the plain
+loop over k, which stays the reference the tests compare against.  On
+tournaments Horner gains little: a_{n-k} is a power of two there, so the
+plain product was a shift too, and each size n still adds and shifts n
+numbers of about n²/2 bits, Θ(n³) bit operations either way.
 
 Row m+1 of a parts table is the convolution of row m with b.  A single entry
 needs only rows 0..m-1: :func:`part_count` returns
@@ -52,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .catalog import CountingSequence
 from .errors import BadConstantTerm, NegativeIrreducibleCount, PeriodMismatch, RangeError
@@ -61,6 +74,7 @@ from .series import PowerSeries, counting_to_series, series_to_counting
 __all__ = [
     "PartsTable",
     "convolve",
+    "first_part_counts",
     "irreducible_counts",
     "irreducible_series",
     "part_count",
@@ -101,19 +115,49 @@ def irreducible_counts(A: CountingSequence, n_max: int) -> list[int]:
     a = A.values(n_max)
     if a[0] != 1:
         raise BadConstantTerm(f"{A.name}: a_0 must be 1, got {a[0]}")
-    labeled = A.labeling == "labeled"
-    # log2 a_j where a_j is a power of two, else None
-    shift = [v.bit_length() - 1 if v > 0 and not v & (v - 1) else None for v in a]
-    b = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
+    return first_part_counts(a, comb if A.labeling == "labeled" else None)
+
+
+def first_part_counts(
+    a: Sequence[int], weight: Callable[[int, int], int] | None
+) -> list[int]:
+    """x_0 = 0 and x_n = a_n - sum_{k=1}^{n-1} w(n,k) x_k a_{n-k} for n >= 1.
+
+    ``weight`` is w(n, k), or None for w = 1.  The sum is accumulated in
+    Horner form when the ratios of ``a`` are integers (see the module
+    docstring), and by the plain loop otherwise; both give the same values.
+    """
+    ratio = [0, 0]  # ratio[j] = a_j / a_{j-1} for j >= 2
+    for j in range(2, len(a)):
+        q, rest = divmod(a[j], a[j - 1]) if a[j - 1] > 0 else (0, 1)
+        if rest:
+            return _first_part_plain(a, weight)
+        ratio.append(q)
+    # log2 r_j where r_j is a power of two, else None
+    shift = [q.bit_length() - 1 if q > 0 and not q & (q - 1) else None for q in ratio]
+    x = [0] * len(a)
+    for n in range(1, len(a)):
+        t = 0  # ends as sum_k y_k a_{n-k} / a_1, with y_k = w(n,k) x_k
+        for k in range(1, n):
+            j = n - k + 1
+            s = shift[j]
+            t = t * ratio[j] if s is None else t << s
+            if x[k]:
+                t += weight(n, k) * x[k] if weight else x[k]
+        x[n] = a[n] - a[1] * t
+    return x
+
+
+def _first_part_plain(a: Sequence[int], weight: Callable[[int, int], int] | None) -> list[int]:
+    """The recurrence of :func:`first_part_counts` term by term: the reference."""
+    x = [0] * len(a)
+    for n in range(1, len(a)):
         acc = a[n]
         for k in range(1, n):
-            if b[k] and a[n - k]:
-                x = comb(n, k) * b[k] if labeled else b[k]
-                s = shift[n - k]
-                acc -= x * a[n - k] if s is None else x << s
-        b[n] = acc
-    return b
+            if x[k] and a[n - k]:
+                acc -= (weight(n, k) * x[k] if weight else x[k]) * a[n - k]
+        x[n] = acc
+    return x
 
 
 def _require_decomposable(A: CountingSequence, b: Sequence[int]) -> None:

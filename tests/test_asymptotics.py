@@ -8,13 +8,11 @@ import pytest
 from seqasym import catalog
 from seqasym.asymptotics import (
     bender_compose,
-    column_sum_bound,
     cyc_class,
     cyc_coefficients,
     cyc_part_count,
     evaluate_partial_sum,
     leading_term,
-    minimal_part_size,
     seq_coefficients,
     set_via_seq_coefficients,
 )
@@ -76,12 +74,9 @@ def test_sparse_parts_shrink_the_columns():
     # a_n = [n even]: every irreducible part has size 2, so column k is
     # supported on m <= k//2 + 1 only.
     A = catalog.custom([1, 0, 1, 0, 1, 0, 1, 0, 1], "unlabeled", name="even-runs")
-    assert minimal_part_size(A, probe_to=8) == 2
-    mu = 2
     table = seq_coefficients(A, 8, 8)
     for k in range(9):
-        cap = column_sum_bound(k, mu)
-        assert cap == k // mu + 1
+        cap = k // 2 + 1
         for m in range(cap + 1, 9):
             assert table.entries(k, m) == 0
 
@@ -116,6 +111,23 @@ def test_cycle_class_matches_log_series(A):
     n_max = 20
     log_inv = -(PowerSeries.one(n_max) - irreducible_series(A, n_max)).log()
     assert cyc_class(A).values(n_max)[1:] == list(series_to_counting(log_inv, "labeled")[1:])
+
+
+@pytest.mark.parametrize(
+    "A",
+    [c for c in catalog.catalog_classes(3) if c.labeling == "labeled"],
+    ids=lambda A: A.name,
+)
+def test_cycle_class_matches_per_size_recurrence(A):
+    """The one-pass filler equals c_n = a_n - sum_k C(n-1,k-1) c_k a_{n-k}, per n."""
+    a = A.values(40)
+    c = [1]
+    for n in range(1, 41):
+        c.append(a[n] - sum(comb(n - 1, k - 1) * c[k] * a[n - k] for k in range(1, n)))
+    assert cyc_class(A).values(40) == c
+    # a miss past the filled range refills from the start
+    cc = cyc_class(A)
+    assert [cc.value(n) for n in (5, 40, 12)] == [c[5], c[40], c[12]]
 
 
 def test_cycle_part_counts_sum_to_class(tournaments1):

@@ -203,12 +203,17 @@ def test_perturbation_length_checks(tournaments1):
         perturbation_check([1] * 10, [0] * 30, 1, 20)
 
 
-@pytest.mark.parametrize("A", catalog.catalog_classes(3), ids=lambda A: A.name)
-def test_integer_traces_match_fraction_reference(A):
-    rep = audit(A, SURVEY_N)
-    assert rep == fraction_reference(
-        rep.class_name, reduced_values(A, SURVEY_N), SURVEY_N, 3
-    )
+@pytest.mark.parametrize(
+    "A, N",
+    [pytest.param(A, SURVEY_N, id=A.name) for A in catalog.catalog_classes(3)]
+    + [
+        pytest.param(catalog.tournaments(d), 120, id=f"tournaments(d={d})-N120")
+        for d in (1, 3)
+    ],
+)
+def test_integer_traces_match_fraction_reference(A, N):
+    rep = audit(A, N)
+    assert rep == fraction_reference(rep.class_name, reduced_values(A, N), N, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,6 +228,34 @@ def test_signed_sequences_match_fraction_reference(N_values, r_max):
     assume(all(v != 0 for v in values[1:]))  # u_0 = 0 is allowed
     assert audit_sequence("signed", values, N, r_max) == fraction_reference(
         "signed", values, N, r_max
+    )
+
+
+def _two_adic(num, exponent, den, up):
+    """num·2^exponent/den or num/(den·2^exponent): a large power of two on one side."""
+    return Fraction(num << exponent, den) if up else Fraction(num, den << exponent)
+
+
+_TWO_ADIC = st.builds(
+    _two_adic,
+    st.integers(-40, 40).filter(bool),
+    st.integers(0, 300),
+    st.integers(1, 30),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just(Fraction(0)), _TWO_ADIC),
+    st.integers(10, 24).flatmap(lambda N: st.lists(_TWO_ADIC, min_size=N, max_size=N)),
+    st.integers(1, 5),
+)
+def test_power_of_two_factors_match_fraction_reference(u_0, tail, r_max):
+    values = [u_0] + tail  # u_0 = 0 is allowed
+    N = len(tail)
+    assert audit_sequence("two-adic", values, N, r_max) == fraction_reference(
+        "two-adic", values, N, r_max
     )
 
 

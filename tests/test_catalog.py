@@ -102,16 +102,13 @@ def test_double_factorial():
     assert [catalog.double_factorial(k) for k in (-1, 1, 3, 5, 7)] == [1, 1, 3, 15, 105]
 
 
-def test_describe_mentions_labeling_and_period():
-    text = catalog.linear_matchings().describe()
-    assert "labeled" in text and "period 2" in text
-
-
 def test_resolve_class_and_unknown():
     A = catalog.resolve_class("tournaments", 2)
     assert A.name == "tournaments(d=2)"
-    # classes without a d parameter ignore it
-    assert catalog.resolve_class("unlabeled_tournaments", 3).name == "unlabeled_tournaments"
+    # classes without a d parameter exist for d = 1 only
+    assert catalog.resolve_class("unlabeled_tournaments", 1).name == "unlabeled_tournaments"
+    with pytest.raises(RangeError, match="--d 3"):
+        catalog.resolve_class("unlabeled_tournaments", 3)
     with pytest.raises(UnknownClass):
         catalog.resolve_class("nosuch")
 

@@ -1,6 +1,7 @@
 """Command-line surface: rendering, exit codes, determinism, error tokens."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from seqasym.cli import main, parse_range
 from seqasym.errors import RangeError
 from seqasym.oracle import ORACLE_KINDS
+from seqasym.suites import MEMBER_SUITES, Check
 
 from conftest import run_python
 
@@ -312,6 +314,22 @@ def test_verify_json_format(runner):
     again = invoke(runner, "verify", "--suite", "comtet", "--format", "json")
     assert again.stdout == res.stdout
     assert "elapsed:" in res.stderr and "elapsed" not in res.stdout
+    # one timing line per suite run, then the total
+    lines = res.stderr.splitlines()
+    assert re.fullmatch(r"elapsed comtet: \d+\.\d{3}s", lines[0])
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s", lines[-1])
+    assert len(lines) == 2
+
+
+def test_verify_all_times_every_member_suite(runner, monkeypatch):
+    monkeypatch.setattr(
+        "seqasym.cli.run_suite", lambda name, budget: [Check(f"{name}-check", "ok")]
+    )
+    res = invoke(runner, "verify", "--suite", "all")
+    assert res.exit_code == 0
+    timed = [line.split(":")[0] for line in res.stderr.splitlines()]
+    assert timed == [f"elapsed {name}" for name in MEMBER_SUITES] + ["elapsed"]
+    assert res.stdout.splitlines()[:-1] == [f"ok   {name}-check" for name in MEMBER_SUITES]
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +425,31 @@ def test_negative_budget_is_a_usage_error(runner, command, zero_budget_exit):
     assert res.exit_code == 2
     assert "--budget" in res.output
     assert invoke(runner, *command, "--budget", "0").exit_code == zero_budget_exit
+
+
+@pytest.mark.parametrize(
+    "cls", ["matchings_labeled", "linear_matchings", "unlabeled_tournaments", "constant-1"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["table", "--n", "0..6"],
+        ["expansion", "--n", "20", "--terms", "2"],
+        ["audit", "--N", "20"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_d_refused_by_classes_without_it(runner, cls, command):
+    """A class with no d parameter refuses --d 2 instead of printing its d=1 answer."""
+    res = invoke(runner, command[0], "--class", cls, "--d", "2", *command[1:])
+    assert res.exit_code == 2, res.stdout
+    assert res.stderr.startswith("RangeError: --d 2:") and cls in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    # --d 1 is the class itself
+    one = invoke(runner, command[0], "--class", cls, "--d", "1", *command[1:])
+    default = invoke(runner, command[0], "--class", cls, *command[1:])
+    assert (one.exit_code, one.stdout) == (default.exit_code, default.stdout)
+    assert "--d" not in one.stderr
 
 
 def test_unknown_class_exit_code(runner):

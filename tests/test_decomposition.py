@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from seqasym import catalog
 from seqasym.decomposition import (
+    _first_part_plain,
     convolve,
+    first_part_counts,
+    irreducible_counts,
     irreducible_series,
     lift_consistency,
     part_count,
@@ -114,11 +117,47 @@ _OTHER = st.integers(min_value=0, max_value=10**12).filter(lambda v: not v or v 
 )
 @settings(max_examples=80, deadline=None)
 def test_shifted_recurrence_on_mixed_values(tail, labeling):
-    """Powers of two (shifted) mixed with other values (multiplied) and zeros."""
+    """Powers of two mixed with other values and zeros: ratios that are
+    mostly not integers, so the plain loop runs."""
     assume(any(v and not v & (v - 1) for v in tail) and any(v & (v - 1) for v in tail))
     A = catalog.custom([1] + tail, labeling, name="mixed")
     rep = verify_simple_recurrence(A, len(tail))
     assert not rep, rep[:3]
+
+
+_RATIO = st.one_of(
+    st.just(1),
+    st.integers(min_value=1, max_value=40).map(lambda e: 1 << e),
+    st.integers(min_value=3, max_value=10**4),
+)
+
+
+@given(
+    st.lists(_RATIO, min_size=1, max_size=16),
+    st.booleans(),
+    st.sampled_from(["labeled", "unlabeled"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_horner_matches_plain_loop_and_series(ratios, trailing_zero, labeling):
+    """Integer ratios a_j/a_{j-1} (ones, powers of two, other integers), with
+    an optional trailing zero: the Horner form gives the reference values."""
+    a = [1]
+    for r in ratios:
+        a.append(a[-1] * r)
+    if trailing_zero:
+        a.append(0)
+    n = len(a) - 1
+    A = catalog.custom(a, labeling, name="ratios")
+    b = irreducible_counts(A, n)
+    assert b == _first_part_plain(a, comb if labeling == "labeled" else None)
+    assert b == list(series_to_counting(irreducible_series(A, n), labeling))
+
+
+@pytest.mark.parametrize("A", catalog.catalog_classes(3), ids=lambda A: A.name)
+def test_horner_and_plain_loop_agree_on_the_catalog(A):
+    a = A.values(60)
+    weight = comb if A.labeling == "labeled" else None
+    assert first_part_counts(a, weight) == _first_part_plain(a, weight)
 
 
 @pytest.mark.parametrize(
