@@ -16,7 +16,7 @@ import sys
 from seqasym import catalog
 from seqasym.decomposition import parts_table
 from seqasym.oracle import ORACLE_KINDS, object_count, oracle_for
-from seqasym.suites import ORACLE_GRID
+from seqasym.suites import ORACLE_GRID, oracle_mismatch
 
 
 def run_one(kind, d, n_max, budget):
@@ -25,12 +25,7 @@ def run_one(kind, d, n_max, budget):
     ok = True
     for n in range(1, n_max + 1):
         res = oracle_for(kind, n, d=d, budget=budget)
-        expect = {
-            m: table.entries(n, m)
-            for m in range(1, n + 1)
-            if table.entries(n, m)
-        }
-        match = res.counts_by_parts == expect
+        match = oracle_mismatch(res, A, table) is None
         ok = ok and match
         print(
             f"{res.class_name:24s} n={n}  "

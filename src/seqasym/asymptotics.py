@@ -425,9 +425,7 @@ def _scale(f: PowerSeries, c: Fraction | int) -> PowerSeries:
     return PowerSeries(tuple(c * x for x in f.coefficients))
 
 
-def bender_compose(
-    U: PowerSeries, family: str, m: int, n_max: int | None = None
-) -> tuple[PowerSeries, PowerSeries]:
+def bender_compose(U: PowerSeries, family: str, m: int) -> tuple[PowerSeries, PowerSeries]:
     """V = F(U) and W = F'(U) for the closed kernel families.
 
     ``family`` is "seq" or "cyc" (see module docstring for the kernels).
@@ -438,8 +436,6 @@ def bender_compose(
         raise RangeError("U must have zero constant term")
     if m < 0:
         raise UnsupportedF("kernel exponent m must be >= 0")
-    if n_max is not None:
-        U = U.truncate(n_max)
     order = U.order
     one = PowerSeries.one(order)
     if family == "seq":

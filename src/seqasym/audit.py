@@ -102,7 +102,7 @@ def audit_sequence(
 ) -> AuditReport:
     """Audit an already-reduced sequence u_0..u_N (exact rationals)."""
     if N < 10:
-        raise RangeError("audit needs N >= 10 to have a meaningful tail")
+        raise RangeError(f"--N {N}: audit needs N >= 10 to have a meaningful tail")
     if r_max < 1:
         raise RangeError("r_max must be >= 1")
     if len(values) < N + 1:

@@ -124,7 +124,7 @@ def double_factorial(k: int) -> int:
 def tournaments(d: int = 1) -> CountingSequence:
     """Labeled d-multitournaments: (d+1)^C(n,2) orientations of multiplicities."""
     if d < 1:
-        raise RangeError("d must be a positive integer")
+        raise RangeError(f"--d {d}: d must be a positive integer")
     return CountingSequence(
         name=f"tournaments(d={d})",
         labeling="labeled",
@@ -136,7 +136,7 @@ def tournaments(d: int = 1) -> CountingSequence:
 def linear_orders(d: int = 1) -> CountingSequence:
     """Labeled d-tuples of linear orders: (n!)^d."""
     if d < 1:
-        raise RangeError("d must be a positive integer")
+        raise RangeError(f"--d {d}: d must be a positive integer")
     return CountingSequence(
         name=f"linear_orders(d={d})",
         labeling="labeled",
@@ -148,7 +148,7 @@ def linear_orders(d: int = 1) -> CountingSequence:
 def permutations(d: int = 1) -> CountingSequence:
     """d-tuples of permutations, treated as unlabeled objects: (n!)^d."""
     if d < 1:
-        raise RangeError("d must be a positive integer")
+        raise RangeError(f"--d {d}: d must be a positive integer")
     return CountingSequence(
         name=f"permutations(d={d})",
         labeling="unlabeled",
@@ -160,7 +160,7 @@ def permutations(d: int = 1) -> CountingSequence:
 def matchings(d: int = 1) -> CountingSequence:
     """d-tuples of perfect matchings, unlabeled, indexed by the pair count n."""
     if d < 1:
-        raise RangeError("d must be a positive integer")
+        raise RangeError(f"--d {d}: d must be a positive integer")
     return CountingSequence(
         name=f"matchings(d={d})",
         labeling="unlabeled",

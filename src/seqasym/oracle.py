@@ -19,13 +19,14 @@ objects themselves.  The oracles know nothing about generating functions:
 * unlabeled tournaments: one representative per isomorphism orbit, found by
   ascending scan with orbit marking (the first unvisited code is the minimal
   member of a fresh orbit, so each orbit is expanded once); parts come from
-  Tarjan's algorithm, with the condensation asserted to be a chain.
+  the representative's score vector by the same Landau rule, with d = 1.
 
 Each oracle reads an exact invariant off its objects (a score vector, a
 breakpoint mask), tallies it, and turns each distinct value into a part
 count once; the score and breakpoint tallies are asserted to sum to the
-number of objects.  Tests run Tarjan on every object at small sizes to
-check the rules.
+number of objects.  One helper checks the arguments and the budget, times
+the tally and builds the result for every kind.  Tests run Tarjan on every
+object at small sizes to check the rules.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import Callable
 
 from .errors import BudgetExceeded, RangeError, UnknownClass
 
@@ -70,68 +72,7 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# strong components (iterative Tarjan on bitmask adjacency)
-# ---------------------------------------------------------------------------
-
-
-def _strong_components(n: int, adj: list[int]) -> tuple[int, list[int]]:
-    """Component count and per-vertex component id (sinks numbered first)."""
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root]:
-            continue
-        counter += 1
-        index[root] = low[root] = counter
-        stack.append(root)
-        on_stack[root] = True
-        frames = [[root, adj[root]]]
-        while frames:
-            v, rem = frames[-1]
-            if rem:
-                w = (rem & -rem).bit_length() - 1
-                frames[-1][1] = rem & (rem - 1)
-                if not index[w]:
-                    counter += 1
-                    index[w] = low[w] = counter
-                    stack.append(w)
-                    on_stack[w] = True
-                    frames.append([w, adj[w]])
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                frames.pop()
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-                if frames and low[v] < low[frames[-1][0]]:
-                    low[frames[-1][0]] = low[v]
-    return ncomp, comp
-
-
-def _condensation_is_chain(n: int, adj: list[int], comp: list[int]) -> bool:
-    """Cross-component arcs must all point from higher comp id to lower."""
-    for u in range(n):
-        for w in range(n):
-            if u == w or comp[u] == comp[w]:
-                continue
-            if ((adj[u] >> w) & 1) != (comp[u] > comp[w]):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# object-count formulas and budgets
+# object counts, budgets and the one helper every enumerator runs through
 # ---------------------------------------------------------------------------
 
 ORACLE_KINDS = ("tournaments", "permutations", "matchings", "unlabeled_tournaments")
@@ -154,16 +95,45 @@ def object_count(kind: str, n: int, d: int = 1) -> int:
     raise UnknownClass(f"no oracle for {kind!r}")
 
 
-def _check_budget(kind: str, n: int, d: int, budget: int | None) -> None:
-    if budget is not None and object_count(kind, n, d) > budget:
-        raise BudgetExceeded(
-            f"{kind} n={n} d={d}: {object_count(kind, n, d)} objects exceed budget {budget}"
-        )
+def _enumerate(
+    kind: str,
+    n: int,
+    d: int,
+    budget: int | None,
+    tally: Callable[[], tuple[Counter[int], int]],
+) -> OracleResult:
+    """Check n, d and the budget, then time ``tally() -> (counts, total)``."""
+    if n < 1:
+        raise RangeError(f"--n {n}: need n >= 1")
+    if d < 1:
+        raise RangeError(f"--d {d}: need d >= 1")
+    if budget is not None:
+        objects = object_count(kind, n, d)
+        if objects > budget:
+            raise BudgetExceeded(f"{kind} n={n} d={d}: {objects} objects exceed budget {budget}")
+    t0 = time.perf_counter()
+    counts, total = tally()
+    elapsed = time.perf_counter() - t0
+    return OracleResult(
+        class_name=(
+            "unlabeled tournaments" if kind == "unlabeled_tournaments" else f"{kind}(d={d})"
+        ),
+        n=n,
+        counts_by_parts=dict(sorted(counts.items())),
+        total_enumerated=total,
+        elapsed=elapsed,
+    )
 
 
 # ---------------------------------------------------------------------------
 # tournaments
 # ---------------------------------------------------------------------------
+
+
+def _pair_table(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """The pairs i < j in order, and the index of each pair."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return pairs, {pq: idx for idx, pq in enumerate(pairs)}
 
 
 def enumerate_tournament_parts(
@@ -177,25 +147,18 @@ def enumerate_tournament_parts(
     S scores at most d(k-1) each and the rest at least dk, so S is the k
     smallest, and the sizes k of such sets are the part boundaries.
     """
-    if n < 1 or d < 1:
-        raise RangeError("need n >= 1 and d >= 1")
-    _check_budget("tournaments", n, d, budget)
-    t0 = time.perf_counter()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = (d + 1) ** len(pairs)
-    tally = _score_tally(n, pairs, d)
-    assert sum(tally.values()) == total, "tally skipped or repeated outcomes"
-    counts: Counter[int] = Counter()
-    for key, c in tally.items():
-        counts[_landau_parts(n, key, d)] += c
-    elapsed = time.perf_counter() - t0
-    return OracleResult(
-        class_name=f"tournaments(d={d})",
-        n=n,
-        counts_by_parts=dict(sorted(counts.items())),
-        total_enumerated=total,
-        elapsed=elapsed,
-    )
+
+    def tally() -> tuple[Counter[int], int]:
+        pairs, _ = _pair_table(n)
+        total = (d + 1) ** len(pairs)
+        keys = _score_tally(n, pairs, d)
+        assert sum(keys.values()) == total, "tally skipped or repeated outcomes"
+        counts: Counter[int] = Counter()
+        for key, c in keys.items():
+            counts[_landau_parts(n, key, d)] += c
+        return counts, total
+
+    return _enumerate("tournaments", n, d, budget, tally)
 
 
 def _score_tally(n: int, pairs: list[tuple[int, int]], d: int) -> dict[int, int]:
@@ -266,24 +229,16 @@ def enumerate_permutation_parts(
     n: int, d: int = 1, budget: int | None = None
 ) -> OracleResult:
     """Part-count distribution over all (n!)^d permutation tuples."""
-    if n < 1 or d < 1:
-        raise RangeError("need n >= 1 and d >= 1")
-    _check_budget("permutations", n, d, budget)
-    t0 = time.perf_counter()
-    masks = _prefix_max_masks(n)
-    counts = _common_breakpoints(masks, d)
-    elapsed = time.perf_counter() - t0
-    return OracleResult(
-        class_name=f"permutations(d={d})",
-        n=n,
-        counts_by_parts=dict(sorted(counts.items())),
-        total_enumerated=len(masks) ** d,
-        elapsed=elapsed,
-    )
+
+    def tally() -> tuple[Counter[int], int]:
+        return _common_breakpoints(_prefix_max_masks(n), d)
+
+    return _enumerate("permutations", n, d, budget, tally)
 
 
-def _common_breakpoints(masks: list[int], d: int) -> Counter[int]:
-    """Tally of common-breakpoint counts over all d-tuples of members.
+def _common_breakpoints(masks: list[int], d: int) -> tuple[Counter[int], int]:
+    """Tally of common-breakpoint counts over all d-tuples of members, and
+    the number of d-tuples.
 
     A d-tuple of members has the common breakpoints of its masks, so only
     d-tuples of distinct masks are visited, each weighted by the product of
@@ -297,8 +252,9 @@ def _common_breakpoints(masks: list[int], d: int) -> Counter[int]:
             common &= mask
             weight *= c
         counts[common.bit_count()] += weight
-    assert sum(counts.values()) == len(masks) ** d, "tuples skipped or repeated"
-    return counts
+    total = len(masks) ** d
+    assert sum(counts.values()) == total, "tuples skipped or repeated"
+    return counts, total
 
 
 # ---------------------------------------------------------------------------
@@ -338,30 +294,16 @@ def enumerate_matching_parts(
     pairs: int, d: int = 1, budget: int | None = None
 ) -> OracleResult:
     """Part-count distribution over all ((2n-1)!!)^d matching tuples."""
-    if pairs < 1 or d < 1:
-        raise RangeError("need pairs >= 1 and d >= 1")
-    _check_budget("matchings", pairs, d, budget)
-    t0 = time.perf_counter()
-    masks = _matching_prefix_masks(pairs)
-    counts = _common_breakpoints(masks, d)
-    elapsed = time.perf_counter() - t0
-    return OracleResult(
-        class_name=f"matchings(d={d})",
-        n=pairs,
-        counts_by_parts=dict(sorted(counts.items())),
-        total_enumerated=len(masks) ** d,
-        elapsed=elapsed,
-    )
+
+    def tally() -> tuple[Counter[int], int]:
+        return _common_breakpoints(_matching_prefix_masks(pairs), d)
+
+    return _enumerate("matchings", pairs, d, budget, tally)
 
 
 # ---------------------------------------------------------------------------
 # unlabeled tournaments
 # ---------------------------------------------------------------------------
-
-
-def _pair_table(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return pairs, {pq: idx for idx, pq in enumerate(pairs)}
 
 
 def _relabel_actions(n: int) -> list[list[tuple[int, int]]]:
@@ -388,16 +330,6 @@ def _apply_action(code: int, row: list[tuple[int, int]]) -> int:
     return out
 
 
-def _code_adjacency(code: int, n: int, pairs: list[tuple[int, int]]) -> list[int]:
-    adj = [0] * n
-    for idx, (i, j) in enumerate(pairs):
-        if (code >> idx) & 1:
-            adj[i] |= 1 << j
-        else:
-            adj[j] |= 1 << i
-    return adj
-
-
 def canonical_tournament_code(code: int, n: int) -> int:
     """Lexicographically minimal relabeling of a tournament code."""
     return min(_apply_action(code, row) for row in _relabel_actions(n))
@@ -410,39 +342,29 @@ def enumerate_unlabeled_tournament_parts(
 
     Scans codes in ascending order; the first unvisited code is the minimal
     member of a fresh orbit and serves as its representative.  Marking the
-    whole orbit visited means every orbit is expanded and counted once.
+    whole orbit visited means every orbit is expanded and counted once.  The
+    representative's parts come from its score key (base n, bit idx of the
+    code set when the first vertex of pair idx wins) by Landau's rule.
     """
-    if n < 1:
-        raise RangeError("need n >= 1")
-    _check_budget("unlabeled_tournaments", n, 1, budget)
-    t0 = time.perf_counter()
-    pairs, _ = _pair_table(n)
-    actions = _relabel_actions(n)
-    total_codes = 1 << len(pairs)
-    counts: Counter[int] = Counter()
-    orbits = 0
-    visited = bytearray(total_codes)
-    for code in range(total_codes):
-        if visited[code]:
-            continue
-        orbit = {_apply_action(code, row) for row in actions}
-        for c in orbit:
-            visited[c] = 1
-        assert min(orbit) == code  # earlier codes of the orbit are visited
-        adj = _code_adjacency(code, n, pairs)
-        m, comp = _strong_components(n, adj)
-        if m > 1:
-            assert _condensation_is_chain(n, adj, comp)
-        counts[m] += 1
-        orbits += 1
-    elapsed = time.perf_counter() - t0
-    return OracleResult(
-        class_name="unlabeled tournaments",
-        n=n,
-        counts_by_parts=dict(sorted(counts.items())),
-        total_enumerated=orbits,
-        elapsed=elapsed,
-    )
+
+    def tally() -> tuple[Counter[int], int]:
+        pairs, _ = _pair_table(n)
+        wins = [(n**i, n**j) for i, j in pairs]
+        actions = _relabel_actions(n)
+        counts: Counter[int] = Counter()
+        visited = bytearray(1 << len(pairs))
+        for code in range(len(visited)):
+            if visited[code]:
+                continue
+            orbit = {_apply_action(code, row) for row in actions}
+            for c in orbit:
+                visited[c] = 1
+            assert min(orbit) == code  # earlier codes of the orbit are visited
+            key = sum(wi if (code >> idx) & 1 else wj for idx, (wi, wj) in enumerate(wins))
+            counts[_landau_parts(n, key, 1)] += 1
+        return counts, sum(counts.values())
+
+    return _enumerate("unlabeled_tournaments", n, 1, budget, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +382,8 @@ def oracle_for(kind: str, n: int, d: int = 1, budget: int | None = None) -> Orac
         return enumerate_matching_parts(n, d, budget)
     if kind == "unlabeled_tournaments":
         if d != 1:
-            raise RangeError("unlabeled tournaments exist only for d=1")
+            raise RangeError(
+                f"--d {d}: unlabeled_tournaments has no d parameter; only --d 1 is defined"
+            )
         return enumerate_unlabeled_tournament_parts(n, budget)
     raise UnknownClass(f"no oracle for {kind!r}")

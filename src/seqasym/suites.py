@@ -7,8 +7,9 @@ two independent computations of the same integer or rational disagree, or a
 stated tolerance was missed.
 
 Each cross-check is defined here once.  The scripts reuse
-:func:`recompute_reference` (one frozen table rebuilt from the integer core)
-and ``ORACLE_GRID`` (the brute-force enumeration grid, rows (kind, d, n_max)).
+:func:`recompute_reference` (one frozen table rebuilt from the integer core),
+``ORACLE_GRID`` (the brute-force enumeration grid, rows (kind, d, n_max)) and
+:func:`oracle_mismatch` (one enumeration against its parts table).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .decomposition import (
     verify_simple_recurrence,
 )
 from .errors import RangeError
-from .oracle import object_count, oracle_for
+from .oracle import OracleResult, object_count, oracle_for
 from .reference_tables import (
     APPENDIX_ORDER,
     COMTET_NUMERATORS,
@@ -39,6 +40,7 @@ __all__ = [
     "MEMBER_SUITES",
     "ORACLE_GRID",
     "SUITE_NAMES",
+    "oracle_mismatch",
     "recompute_reference",
     "run_suite",
 ]
@@ -114,6 +116,20 @@ ORACLE_GRID = (
 )
 
 
+def oracle_mismatch(
+    result: OracleResult, A: catalog.CountingSequence, table: PartsTable
+) -> str | None:
+    """The first disagreement of one enumeration with the class count and the
+    parts table of ``A``, or None when every part count agrees."""
+    n = result.n
+    if result.total_enumerated != A.value(n):
+        return f"n={n} total={result.total_enumerated} expected={A.value(n)}"
+    for m in range(1, n + 1):
+        if result.count(m) != table.entries(n, m):
+            return f"n={n} m={m} enumerated={result.count(m)} series={table.entries(n, m)}"
+    return None
+
+
 def suite_oracle(budget: int | None = None) -> list[Check]:
     checks = []
     for kind, d, n_max in ORACLE_GRID:
@@ -124,22 +140,10 @@ def suite_oracle(budget: int | None = None) -> list[Check]:
             continue
         A = catalog.resolve_class(kind, d)
         expected = parts_table(A, n_max, n_max)
-        bad = None
-        for n in range(1, n_max + 1):
-            result = oracle_for(kind, n, d)
-            want_total = A.value(n)
-            if result.total_enumerated != want_total:
-                bad = f"n={n} total={result.total_enumerated} expected={want_total}"
-                break
-            for m in range(1, n + 1):
-                if result.count(m) != expected.entries(n, m):
-                    bad = (
-                        f"n={n} m={m} enumerated={result.count(m)} "
-                        f"series={expected.entries(n, m)}"
-                    )
-                    break
-            if bad:
-                break
+        mismatches = (
+            oracle_mismatch(oracle_for(kind, n, d), A, expected) for n in range(1, n_max + 1)
+        )
+        bad = next(filter(None, mismatches), None)
         checks.append(Check(name, "fail" if bad else "ok", bad or f"n<= {n_max}, all m"))
     return checks
 
@@ -148,19 +152,21 @@ def suite_oracle(budget: int | None = None) -> list[Check]:
 # sumrule: columns of the coefficient table sum to zero
 # ---------------------------------------------------------------------------
 
+_SUMRULE_K_MAX = 8
 
-def suite_sumrule(k_max: int = 8) -> list[Check]:
+
+def suite_sumrule() -> list[Check]:
     checks = []
     for A in catalog.catalog_classes():
         name = f"sumrule-{A.name}"
-        table = seq_coefficients(A, k_max + 1, k_max)
+        table = seq_coefficients(A, _SUMRULE_K_MAX + 1, _SUMRULE_K_MAX)
         bad = None
-        for k in range(1, k_max + 1):
-            total = sum(table.entries(k, m) for m in range(1, k_max + 2))
+        for k in range(1, _SUMRULE_K_MAX + 1):
+            total = sum(table.entries(k, m) for m in range(1, _SUMRULE_K_MAX + 2))
             if total != 0:
                 bad = f"k={k} column sum {total}"
                 break
-        checks.append(Check(name, "fail" if bad else "ok", bad or f"k <= {k_max}"))
+        checks.append(Check(name, "fail" if bad else "ok", bad or f"k <= {_SUMRULE_K_MAX}"))
     return checks
 
 
@@ -168,8 +174,10 @@ def suite_sumrule(k_max: int = 8) -> list[Check]:
 # recurrences: series inversion vs direct convolution recurrences
 # ---------------------------------------------------------------------------
 
+_RECURRENCE_N_MAX = 24
 
-def suite_recurrences(n_max: int = 24) -> list[Check]:
+
+def suite_recurrences() -> list[Check]:
     checks = []
     for A in catalog.catalog_classes():
         routes = [("first-part-recurrence", "recurrence", verify_simple_recurrence)]
@@ -177,13 +185,13 @@ def suite_recurrences(n_max: int = 24) -> list[Check]:
             routes.append(("halving-identity", "identity", verify_halving_identity))
         for prefix, label, verify in routes:
             name = f"{prefix}-{A.name}"
-            mismatches = verify(A, n_max)
+            mismatches = verify(A, _RECURRENCE_N_MAX)
             if mismatches:
                 n, via_series, via_route = mismatches[0]
                 detail = f"n={n} series={via_series} {label}={via_route}"
                 checks.append(Check(name, "fail", detail))
             else:
-                checks.append(Check(name, "ok", f"n <= {n_max}"))
+                checks.append(Check(name, "ok", f"n <= {_RECURRENCE_N_MAX}"))
     return checks
 
 
@@ -191,12 +199,14 @@ def suite_recurrences(n_max: int = 24) -> list[Check]:
 # lift: ordered pairs (permutation, linear order) vs scaled permutation parts
 # ---------------------------------------------------------------------------
 
+_LIFT_N_MAX, _LIFT_M_MAX = 8, 5
 
-def suite_lift(n_max: int = 8, m_max: int = 5) -> list[Check]:
-    mismatches = lift_consistency(n_max, m_max)
-    name = f"lift-linear_orders2-vs-permutations-n{n_max}-m{m_max}"
+
+def suite_lift() -> list[Check]:
+    mismatches = lift_consistency(_LIFT_N_MAX, _LIFT_M_MAX)
+    name = f"lift-linear_orders2-vs-permutations-n{_LIFT_N_MAX}-m{_LIFT_M_MAX}"
     if not mismatches:
-        return [Check(name, "ok", f"{n_max * m_max} part counts")]
+        return [Check(name, "ok", f"{_LIFT_N_MAX * _LIFT_M_MAX} part counts")]
     n, m, lhs, rhs = mismatches[0]
     return [Check(name, "fail", f"n={n} m={m} lift={lhs} scaled={rhs}")]
 
@@ -288,19 +298,14 @@ _SUITES = {
     "residual-order": lambda budget: suite_residual_order(),
 }
 
-#: the suites that "all" runs, in order
+#: the suites that ``verify --suite all`` runs, in order
 MEMBER_SUITES = tuple(_SUITES)
 SUITE_NAMES = MEMBER_SUITES + ("all",)
 
 
 def run_suite(name: str, budget: int | None = None) -> list[Check]:
-    if name == "all":
-        out = []
-        for key in MEMBER_SUITES:
-            out.extend(_SUITES[key](budget))
-        return out
     try:
         fn = _SUITES[name]
     except KeyError:
-        raise RangeError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+        raise RangeError(f"unknown suite {name!r}; choose from {', '.join(MEMBER_SUITES)}")
     return fn(budget)

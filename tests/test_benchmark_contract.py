@@ -1,0 +1,62 @@
+"""The names the benchmark harness under perfbench/ binds in the package.
+
+The harness wraps and records program functions by name, so a rename in the
+package crashes its jobs rather than failing a test.  Its modules are loaded
+here from their files, unedited, and their name lists are checked against
+the package.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import seqasym.cli
+import seqasym.oracle
+from seqasym.series import PowerSeries
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """worker.py and tracing.py; worker.py puts perfbench/ on sys.path and
+    imports its sibling modules, which are taken back out afterwards."""
+    saved_path, saved_modules = list(sys.path), set(sys.modules)
+    try:
+        yield _load("worker"), _load("tracing")
+    finally:
+        sys.path[:] = saved_path
+        for name in {"checks", "jobs"} - saved_modules:
+            sys.modules.pop(name, None)
+
+
+def test_cli_binds_every_result_call(harness):
+    worker, _ = harness
+    missing = [n for n in worker.RESULT_CALLS if not callable(getattr(seqasym.cli, n, None))]
+    assert missing == []
+
+
+def test_power_series_defines_every_traced_method(harness):
+    _, tracing = harness
+    assert [n for n in tracing.SERIES_METHODS if n not in PowerSeries.__dict__] == []
+
+
+def test_oracle_binds_every_traced_entry_point(harness):
+    _, tracing = harness
+    names = [*tracing._ORACLE_KIND, "object_count"]
+    missing = [n for n in names if not inspect.isfunction(getattr(seqasym.oracle, n, None))]
+    assert missing == []
+    # the tracer reads the kind of a dispatching call from its arguments
+    for name, kind in tracing._ORACLE_KIND.items():
+        params = inspect.signature(getattr(seqasym.oracle, name)).parameters
+        assert (kind is None) == ("kind" in params), name

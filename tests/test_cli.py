@@ -8,10 +8,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqasym.catalog import CATALOG_FACTORIES
 from seqasym.cli import main, parse_range
 from seqasym.errors import RangeError
 from seqasym.oracle import ORACLE_KINDS
-from seqasym.suites import MEMBER_SUITES, Check
+from seqasym.suites import MEMBER_SUITES, Check, run_suite
 
 from conftest import run_python
 
@@ -332,6 +333,13 @@ def test_verify_all_times_every_member_suite(runner, monkeypatch):
     assert res.stdout.splitlines()[:-1] == [f"ok   {name}-check" for name in MEMBER_SUITES]
 
 
+def test_run_suite_knows_only_member_suites():
+    """``all`` is the CLI's loop over the member suites, not a suite."""
+    with pytest.raises(RangeError) as err:
+        run_suite("all")
+    assert str(err.value) == f"unknown suite 'all'; choose from {', '.join(MEMBER_SUITES)}"
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
@@ -456,3 +464,96 @@ def test_unknown_class_exit_code(runner):
     res = invoke(runner, "table", "--class", "nosuch")
     assert res.exit_code == 2
     assert res.output.startswith("UnknownClass:")
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["table", "--class", "tournaments", "--d", "0"], "--d 0:"),
+        (["audit", "--class", "tournaments", "--N", "5"], "--N 5:"),
+        (["oracle", "--class", "tournaments", "--n", "0"], "--n 0:"),
+        (["oracle", "--class", "permutations", "--n", "3", "--d", "-1"], "--d -1:"),
+        (
+            ["oracle", "--class", "unlabeled_tournaments", "--n", "3", "--d", "2"],
+            "--d 2: unlabeled_tournaments has no d parameter; only --d 1 is defined",
+        ),
+    ],
+    ids=["table-d", "audit-N", "oracle-n", "oracle-d", "oracle-unlabeled-d"],
+)
+def test_usage_errors_name_the_argument_and_its_value(runner, args, named):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"RangeError: {named}"), res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# argument space: every call ends in a known exit code
+# ---------------------------------------------------------------------------
+
+CLASSES = sorted(CATALOG_FACTORIES)
+FORMAT_NAMES = ["md", "csv", "json"]
+# d = 1 is the one value every class accepts; drawn about half the time
+D_VALUES = st.one_of(st.just(1), st.integers(min_value=-1, max_value=3))
+
+
+def spans(lo, hi):
+    """A single value "N" or a range "A..B" with A <= B, drawn from lo..hi."""
+    ends = st.integers(min_value=lo, max_value=hi)
+    pairs = st.tuples(ends, ends).map(sorted)
+    return st.one_of(ends.map(str), pairs.map(lambda ab: f"{ab[0]}..{ab[1]}"))
+
+
+def assert_known_exit(args):
+    """The call succeeds (0), fails a check (1), is refused as a usage or range
+    error (2) or as over budget (3), and never ends in an uncaught exception."""
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 1, 2, 3), (args, res.exit_code, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
+    assert "Traceback" not in res.stderr
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cls=st.sampled_from(CLASSES),
+    d=D_VALUES,
+    kind=st.sampled_from(["parts", "coefficients"]),
+    construction=st.sampled_from(["seq", "cyc", "set"]),
+    m=st.one_of(spans(1, 4), spans(-1, 4)),
+    columns=spans(-2, 30),
+    fmt=st.sampled_from(FORMAT_NAMES),
+)
+def test_table_arguments_end_in_a_known_exit_code(cls, d, kind, construction, m, columns, fmt):
+    column_flag = "--n" if kind == "parts" else "--k"
+    assert_known_exit(
+        ["table", "--class", cls, "--d", str(d), "--kind", kind, "--construction", construction,
+         "--m", m, column_flag, columns, "--format", fmt]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cls=st.sampled_from(CLASSES),
+    d=D_VALUES,
+    construction=st.sampled_from(["seq", "cyc", "set"]),
+    m=st.one_of(st.integers(min_value=1, max_value=4).map(str), spans(-1, 4)),
+    n=st.one_of(st.integers(min_value=12, max_value=30), st.integers(min_value=-2, max_value=30)),
+    terms=st.integers(min_value=-1, max_value=5),
+    fmt=st.sampled_from(FORMAT_NAMES),
+)
+def test_expansion_arguments_end_in_a_known_exit_code(cls, d, construction, m, n, terms, fmt):
+    assert_known_exit(
+        ["expansion", "--class", cls, "--d", str(d), "--construction", construction,
+         "--m", m, "--n", str(n), "--terms", str(terms), "--format", fmt]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cls=st.sampled_from(CLASSES),
+    d=D_VALUES,
+    N=st.integers(min_value=-2, max_value=40),
+    fmt=st.sampled_from(FORMAT_NAMES),
+)
+def test_audit_arguments_end_in_a_known_exit_code(cls, d, N, fmt):
+    assert_known_exit(["audit", "--class", cls, "--d", str(d), "--N", str(N), "--format", fmt])

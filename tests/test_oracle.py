@@ -1,6 +1,10 @@
 """Brute-force enumerators: frozen small cases, budgets, canonicalization,
-the weighted Landau rule against Tarjan, grouped breakpoint tallies."""
+the weighted Landau rule against Tarjan, grouped breakpoint tallies.
 
+Tarjan's algorithm and the chain check on the condensation live here only:
+they are the reference the Landau rule of the oracles is checked against."""
+
+import dataclasses
 import importlib.util
 import itertools
 from collections import Counter
@@ -15,19 +19,79 @@ from seqasym.decomposition import parts_table
 from seqasym.errors import BudgetExceeded, RangeError, UnknownClass
 from seqasym.oracle import (
     _common_breakpoints,
-    _condensation_is_chain,
     _landau_parts,
     _matching_prefix_masks,
     _pair_table,
     _prefix_max_masks,
     _score_tally,
-    _strong_components,
     canonical_tournament_code,
     enumerate_tournament_parts,
     enumerate_unlabeled_tournament_parts,
     object_count,
     oracle_for,
 )
+from seqasym.suites import oracle_mismatch
+
+# ---------------------------------------------------------------------------
+# reference: strong components (iterative Tarjan on bitmask adjacency)
+# ---------------------------------------------------------------------------
+
+
+def _strong_components(n: int, adj: list[int]) -> tuple[int, list[int]]:
+    """Component count and per-vertex component id (sinks numbered first)."""
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = 0
+    ncomp = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        on_stack[root] = True
+        frames = [[root, adj[root]]]
+        while frames:
+            v, rem = frames[-1]
+            if rem:
+                w = (rem & -rem).bit_length() - 1
+                frames[-1][1] = rem & (rem - 1)
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    on_stack[w] = True
+                    frames.append([w, adj[w]])
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+    return ncomp, comp
+
+
+def _condensation_is_chain(n: int, adj: list[int], comp: list[int]) -> bool:
+    """Cross-component arcs must all point from higher comp id to lower."""
+    for u in range(n):
+        for w in range(n):
+            if u == w or comp[u] == comp[w]:
+                continue
+            if ((adj[u] >> w) & 1) != (comp[u] > comp[w]):
+                return False
+    return True
+
 
 # Hand-checkable part tallies, frozen from direct enumeration.
 FROZEN = {
@@ -169,7 +233,7 @@ def test_grouped_breakpoints_match_every_tuple(masks_of, n, d):
     naive = Counter(
         reduce(and_, members).bit_count() for members in itertools.product(masks, repeat=d)
     )
-    assert _common_breakpoints(masks, d) == naive
+    assert _common_breakpoints(masks, d) == (naive, len(masks) ** d)
 
 
 def test_object_counts():
@@ -190,13 +254,38 @@ def test_budget_refuses_oversized_runs():
     assert enumerate_tournament_parts(3, budget=8).total_enumerated == 8
 
 
+def test_budget_refusal_counts_the_objects_once(monkeypatch):
+    calls = []
+    count = oracle.object_count
+    monkeypatch.setattr(oracle, "object_count", lambda *args: calls.append(args) or count(*args))
+    with pytest.raises(BudgetExceeded, match="32768 objects exceed budget 1000"):
+        enumerate_tournament_parts(6, budget=1000)
+    assert calls == [("tournaments", 6, 1)]
+    enumerate_tournament_parts(3)  # no budget, no count
+    assert len(calls) == 1
+
+
 def test_oracle_dispatch_domain_errors():
     with pytest.raises(UnknownClass):
         oracle_for("widgets", 3)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="^--d 2: unlabeled_tournaments has no d parameter"):
         oracle_for("unlabeled_tournaments", 3, d=2)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="^--n 0: "):
         enumerate_tournament_parts(0)
+    with pytest.raises(RangeError, match="^--d 0: "):
+        oracle_for("matchings", 2, d=0)
+
+
+def test_oracle_mismatch_names_the_first_disagreement():
+    A = catalog.tournaments(1)
+    table = parts_table(A, 4, 4)
+    res = oracle_for("tournaments", 4)
+    assert res.counts_by_parts == {1: 24, 2: 16, 4: 24}
+    assert oracle_mismatch(res, A, table) is None
+    short = dataclasses.replace(res, total_enumerated=63)
+    assert oracle_mismatch(short, A, table) == "n=4 total=63 expected=64"
+    moved = dataclasses.replace(res, counts_by_parts={1: 24, 2: 17, 4: 23})
+    assert oracle_mismatch(moved, A, table) == "n=4 m=2 enumerated=17 series=16"
 
 
 def test_canonical_codes_count_isomorphism_classes():
