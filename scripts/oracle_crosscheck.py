@@ -2,10 +2,10 @@
 """Brute-force enumeration against the algebraic part-count tables.
 
 Runs the grid of ``seqasym verify --suite oracle`` (or a single class) and
-prints a per-size line with counts by part number, the algebraic
-prediction, and timing.  This is the slow, independent ground truth behind
-every other number in the package.  Without --class, --d keeps the grid
-rows of that d.  A class off that grid needs --n-max.  The closing line
+prints a per-size line with counts by part number, whether they match the
+algebraic table, and timing.  Enumeration is the independent ground truth
+behind every other number in the package.  Without --class, --d keeps the
+grid rows of that d.  A class off that grid needs --n-max.  The closing line
 counts the rows that ran and were skipped, and claims a match only for
 rows that ran.
 """
@@ -15,6 +15,7 @@ import sys
 
 from seqasym import catalog
 from seqasym.decomposition import parts_table
+from seqasym.errors import SeqasymError
 from seqasym.oracle import ORACLE_KINDS, object_count, oracle_for
 from seqasym.suites import ORACLE_GRID, oracle_mismatch
 
@@ -47,14 +48,15 @@ def main(argv=None):
         parser.error(f"--budget must be nonnegative, got {args.budget}")
     if args.n_max is not None and args.n_max < 1:
         parser.error(f"--n-max must be at least 1, got {args.n_max}")
-    if args.d is not None and args.d < 1:
-        parser.error(f"--d must be at least 1, got {args.d}")
-    if args.kind == "unlabeled_tournaments" and args.d not in (None, 1):
-        parser.error(f"--d must be 1 for --class unlabeled_tournaments, got {args.d}")
 
     sizes = {(kind, d): n_max for kind, d, n_max in ORACLE_GRID}
     if args.kind:
-        grid = [(args.kind, args.d or 1)]
+        grid = [(args.kind, 1 if args.d is None else args.d)]
+        try:
+            catalog.resolve_class(*grid[0])  # refuses a --d the class does not define
+        except SeqasymError as exc:
+            print(f"{exc.token}: {exc}", file=sys.stderr)
+            return exc.exit_code
         if args.n_max is None and grid[0] not in sizes:
             parser.error(
                 f"--n-max is required for --class {args.kind} --d {grid[0][1]}, "

@@ -106,11 +106,11 @@ def cmd_table(class_name, d, kind, construction, m_range, k_range, n_range, fmt,
         A = _resolve(class_name, d, custom)
         m_lo, m_hi = parse_range(m_range, "--m")
         if m_lo < 1:
-            raise RangeError("--m must start at 1")
+            raise RangeError(f"--m {m_range}: m must start at 1")
         if kind == "parts":
             lo, hi = parse_range(n_range or "1..8", "--n")
             if lo < 0:
-                raise RangeError("--n must be nonnegative")
+                raise RangeError(f"--n {n_range}: n must be nonnegative")
             index_label = "n"
             if construction == "seq":
                 table = parts_table(A, m_hi, hi)
@@ -128,7 +128,7 @@ def cmd_table(class_name, d, kind, construction, m_range, k_range, n_range, fmt,
         else:
             lo, hi = parse_range(k_range or "0..8", "--k")
             if lo < 0:
-                raise RangeError("--k must be nonnegative")
+                raise RangeError(f"--k {k_range}: k must be nonnegative")
             index_label = "k"
             if construction == "seq":
                 table = seq_coefficients(A, m_hi, hi)
@@ -257,7 +257,7 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
         A = _resolve(class_name, d, custom)
         m_lo, m_hi = parse_range(m_value, "--m")
         if m_lo != m_hi:
-            raise RangeError("--m must be a single value for expansions")
+            raise RangeError(f"--m {m_value}: m must be a single value for expansions")
         if m_lo < 1:
             raise RangeError(f"--m must be at least 1, got {m_lo}")
         if terms < 0:

@@ -13,7 +13,7 @@ objects themselves.  The oracles know nothing about generating functions:
   1968; proof at ``enumerate_tournament_parts``);
 * permutations(d): all (n!)^d tuples; a position k is a breakpoint if every
   member maps {1..k} to itself; parts = common breakpoints, the AND of the
-  members' prefix-maximum bitmasks, taken over d-tuples of distinct masks;
+  members' breakpoint bitmasks, taken over d-tuples of distinct masks;
 * matchings(d): all ((2n-1)!!)^d tuples of perfect matchings of {1..2n};
   breakpoints are the even prefixes closed under every member;
 * unlabeled tournaments: one representative per isomorphism orbit, found by
@@ -21,12 +21,13 @@ objects themselves.  The oracles know nothing about generating functions:
   member of a fresh orbit, so each orbit is expanded once); parts come from
   the representative's score vector by the same Landau rule, with d = 1.
 
-Each oracle reads an exact invariant off its objects (a score vector, a
-breakpoint mask), tallies it, and turns each distinct value into a part
-count once; the score and breakpoint tallies are asserted to sum to the
-number of objects.  One helper checks the arguments and the budget, times
-the tally and builds the result for every kind.  Tests run Tarjan on every
-object at small sizes to check the rules.
+Each oracle tallies an exact invariant of its objects (a score vector, a
+breakpoint mask) and turns each distinct value into a part count once; the
+tallies are asserted to sum to the number of objects.  Breakpoint masks are
+tallied by one walk over prefix sets that expands each set once.  One
+helper checks the arguments and the budget (in objects, not walk states),
+times the tally and builds the result for every kind.  Tests run Tarjan and
+the per-object mask walks on every object at small sizes to check them.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable
+from typing import Callable, Iterable
 
+from . import catalog
 from .errors import BudgetExceeded, RangeError, UnknownClass
 
 __all__ = [
@@ -47,7 +49,6 @@ __all__ = [
     "enumerate_permutation_parts",
     "enumerate_matching_parts",
     "enumerate_unlabeled_tournament_parts",
-    "canonical_tournament_code",
     "oracle_for",
     "ORACLE_KINDS",
 ]
@@ -206,23 +207,66 @@ def _landau_parts(n: int, key: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# permutations
+# permutations and matchings: one walk over prefix sets
 # ---------------------------------------------------------------------------
 
 
-def _prefix_max_masks(n: int) -> list[int]:
-    """Bit k-1 set iff {1..k} is stable, for each permutation of {1..n}."""
-    masks = []
-    for p in itertools.permutations(range(1, n + 1)):
-        mx = 0
-        mask = 0
-        for pos, val in enumerate(p, start=1):
-            if val > mx:
-                mx = val
-            if mx == pos:
-                mask |= 1 << (pos - 1)
-        masks.append(mask)
-    return masks
+def _closure_tally(moves: Callable[[int], Iterable[int]], rounds: int, step: int) -> Counter[int]:
+    """Tally of breakpoint masks over every object built by ``rounds`` moves.
+
+    A state is the set T of points taken so far, and ``moves(T)`` yields the
+    states one move on.  A state equal to the first k*step points sets bit
+    k-1 of the mask.  The future of a state depends on T alone, so each set
+    is expanded once, carrying the tally of the masks that lead to it.
+    """
+    level = {0: Counter({0: 1})}
+    for _ in range(rounds):
+        folded: dict[int, Counter[int]] = {}
+        for taken, masks in level.items():
+            for t in moves(taken):
+                bit = 1 << (t.bit_count() // step - 1) if t & (t + 1) == 0 else 0
+                into = folded.setdefault(t, Counter())
+                for mask, c in masks.items():
+                    into[mask | bit] += c
+        level = folded
+    (tally,) = level.values()
+    return tally
+
+
+def _permutation_masks(n: int) -> Counter[int]:
+    """Masks of the permutations of {1..n}: a move places any unused value."""
+    return _closure_tally(lambda t: (t | 1 << v for v in range(n) if not t >> v & 1), n, 1)
+
+
+def _matching_masks(pairs: int) -> Counter[int]:
+    """Masks of the perfect matchings of {0..2·pairs-1}: a move pairs the
+    first free point with any later free point."""
+
+    def moves(t: int) -> Iterable[int]:
+        first = ~t & (t + 1)
+        return (t | first | 1 << b for b in range(first.bit_length(), 2 * pairs) if not t >> b & 1)
+
+    return _closure_tally(moves, pairs, 2)
+
+
+def _common_breakpoints(tally: Counter[int], d: int) -> tuple[Counter[int], int]:
+    """Tally of common-breakpoint counts over all d-tuples of members, and
+    the number of d-tuples, from the tally of the members' masks.
+
+    A d-tuple of members has the common breakpoints of its masks, so only
+    d-tuples of distinct masks are visited, each weighted by the product of
+    their multiplicities.
+    """
+    counts: Counter[int] = Counter()
+    for members in itertools.product(tally.items(), repeat=d):
+        common, weight = -1, 1
+        for mask, c in members:
+            common &= mask
+            weight *= c
+        counts[common.bit_count()] += weight
+    total = sum(tally.values()) ** d
+    assert sum(counts.values()) == total, "tuples skipped or repeated"
+    return counts, total
 
 
 def enumerate_permutation_parts(
@@ -231,63 +275,9 @@ def enumerate_permutation_parts(
     """Part-count distribution over all (n!)^d permutation tuples."""
 
     def tally() -> tuple[Counter[int], int]:
-        return _common_breakpoints(_prefix_max_masks(n), d)
+        return _common_breakpoints(_permutation_masks(n), d)
 
     return _enumerate("permutations", n, d, budget, tally)
-
-
-def _common_breakpoints(masks: list[int], d: int) -> tuple[Counter[int], int]:
-    """Tally of common-breakpoint counts over all d-tuples of members, and
-    the number of d-tuples.
-
-    A d-tuple of members has the common breakpoints of its masks, so only
-    d-tuples of distinct masks are visited, each weighted by the product of
-    their multiplicities in ``masks``.
-    """
-    tally = Counter(masks)
-    counts: Counter[int] = Counter()
-    for members in itertools.product(tally.items(), repeat=d):
-        common, weight = -1, 1
-        for mask, c in members:
-            common &= mask
-            weight *= c
-        counts[common.bit_count()] += weight
-    total = len(masks) ** d
-    assert sum(counts.values()) == total, "tuples skipped or repeated"
-    return counts, total
-
-
-# ---------------------------------------------------------------------------
-# matchings
-# ---------------------------------------------------------------------------
-
-
-def _matching_prefix_masks(pairs: int) -> list[int]:
-    """Even-prefix closure masks for all perfect matchings of {0..2·pairs-1}."""
-    m2 = 2 * pairs
-    masks = []
-    partner = [-1] * m2
-
-    def rec(free: list[int]) -> None:
-        if not free:
-            mx = -1
-            mask = 0
-            for pos in range(m2):
-                if partner[pos] > mx:
-                    mx = partner[pos]
-                if pos % 2 == 1 and mx <= pos:
-                    mask |= 1 << (pos // 2)
-            masks.append(mask)
-            return
-        a = free[0]
-        rest = free[1:]
-        for i, b in enumerate(rest):
-            partner[a], partner[b] = b, a
-            rec(rest[:i] + rest[i + 1 :])
-        partner[a] = -1
-
-    rec(list(range(m2)))
-    return masks
 
 
 def enumerate_matching_parts(
@@ -296,7 +286,7 @@ def enumerate_matching_parts(
     """Part-count distribution over all ((2n-1)!!)^d matching tuples."""
 
     def tally() -> tuple[Counter[int], int]:
-        return _common_breakpoints(_matching_prefix_masks(pairs), d)
+        return _common_breakpoints(_matching_masks(pairs), d)
 
     return _enumerate("matchings", pairs, d, budget, tally)
 
@@ -328,11 +318,6 @@ def _apply_action(code: int, row: list[tuple[int, int]]) -> int:
         if ((code >> src) & 1) ^ flip:
             out |= 1 << tgt
     return out
-
-
-def canonical_tournament_code(code: int, n: int) -> int:
-    """Lexicographically minimal relabeling of a tournament code."""
-    return min(_apply_action(code, row) for row in _relabel_actions(n))
 
 
 def enumerate_unlabeled_tournament_parts(
@@ -381,9 +366,6 @@ def oracle_for(kind: str, n: int, d: int = 1, budget: int | None = None) -> Orac
     if kind == "matchings":
         return enumerate_matching_parts(n, d, budget)
     if kind == "unlabeled_tournaments":
-        if d != 1:
-            raise RangeError(
-                f"--d {d}: unlabeled_tournaments has no d parameter; only --d 1 is defined"
-            )
+        catalog.resolve_class(kind, d)  # refuses any d other than 1
         return enumerate_unlabeled_tournament_parts(n, budget)
     raise UnknownClass(f"no oracle for {kind!r}")

@@ -16,6 +16,7 @@ import pytest
 import seqasym.cli
 import seqasym.oracle
 from seqasym.series import PowerSeries
+from seqasym.suites import ORACLE_GRID
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,3 +61,26 @@ def test_oracle_binds_every_traced_entry_point(harness):
     for name, kind in tracing._ORACLE_KIND.items():
         params = inspect.signature(getattr(seqasym.oracle, name)).parameters
         assert (kind is None) == ("kind" in params), name
+
+
+# oracle.<row>.objects of every traced oracle-grid run; objects_per_s divides
+# by these, so they must not move when an oracle changes how it walks
+GRID_OBJECTS = {
+    "tournaments-d1": 2_131_019,
+    "tournaments-d2": 59_809,
+    "permutations-d1": 409_113,
+    "permutations-d2": 533_417,
+    "matchings-d1": 11_464,
+    "matchings-d2": 11_260,
+    "unlabeled_tournaments-d1": 33_867,
+}
+
+
+def test_oracle_grid_object_counts_are_pinned(harness):
+    _, tracing = harness
+    assert list(GRID_OBJECTS) == list(tracing.ORACLE_ROWS)
+    objects = {
+        f"{kind}-d{d}": sum(seqasym.oracle.object_count(kind, n, d) for n in range(1, n_max + 1))
+        for kind, d, n_max in ORACLE_GRID
+    }
+    assert objects == GRID_OBJECTS

@@ -405,6 +405,14 @@ def test_oracle_default_budget_refuses_before_allocating(runner):
     assert "BudgetExceeded" in res.output and "budget 3000000" in res.output
 
 
+def test_oracle_default_budget_counts_permutations_not_walk_states(runner):
+    """10! = 3,628,800 permutations exceed the default budget, although the
+    prefix-set walk would visit only 2^10 sets."""
+    res = invoke(runner, "oracle", "--class", "permutations", "--n", "10")
+    assert res.exit_code == 3
+    assert "3628800 objects exceed budget 3000000" in res.output
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(ORACLE_KINDS),
@@ -477,8 +485,18 @@ def test_unknown_class_exit_code(runner):
             ["oracle", "--class", "unlabeled_tournaments", "--n", "3", "--d", "2"],
             "--d 2: unlabeled_tournaments has no d parameter; only --d 1 is defined",
         ),
+        (["table", "--class", "tournaments", "--m", "0..3"], "--m 0..3: m must start at 1"),
+        (["table", "--class", "tournaments", "--n", "-2..3"], "--n -2..3: "),
+        (
+            ["table", "--class", "tournaments", "--kind", "coefficients", "--k", "-1..2"],
+            "--k -1..2: ",
+        ),
+        (["expansion", "--class", "tournaments", "--n", "20", "--m", "1..2"], "--m 1..2: "),
     ],
-    ids=["table-d", "audit-N", "oracle-n", "oracle-d", "oracle-unlabeled-d"],
+    ids=[
+        "table-d", "audit-N", "oracle-n", "oracle-d", "oracle-unlabeled-d",
+        "table-m", "table-n", "table-k", "expansion-m",
+    ],
 )
 def test_usage_errors_name_the_argument_and_its_value(runner, args, named):
     res = invoke(runner, *args)

@@ -1,8 +1,10 @@
 """Brute-force enumerators: frozen small cases, budgets, canonicalization,
-the weighted Landau rule against Tarjan, grouped breakpoint tallies.
+the weighted Landau rule against Tarjan, the prefix-set walk against the
+per-object breakpoint masks, grouped breakpoint tallies.
 
-Tarjan's algorithm and the chain check on the condensation live here only:
-they are the reference the Landau rule of the oracles is checked against."""
+Tarjan's algorithm with the chain check on the condensation, the
+per-object mask generators and the canonical tournament code live here
+only: they are the references the oracles are checked against."""
 
 import dataclasses
 import importlib.util
@@ -18,13 +20,14 @@ from seqasym import catalog, oracle
 from seqasym.decomposition import parts_table
 from seqasym.errors import BudgetExceeded, RangeError, UnknownClass
 from seqasym.oracle import (
+    _apply_action,
     _common_breakpoints,
     _landau_parts,
-    _matching_prefix_masks,
+    _matching_masks,
     _pair_table,
-    _prefix_max_masks,
+    _permutation_masks,
+    _relabel_actions,
     _score_tally,
-    canonical_tournament_code,
     enumerate_tournament_parts,
     enumerate_unlabeled_tournament_parts,
     object_count,
@@ -93,6 +96,59 @@ def _condensation_is_chain(n: int, adj: list[int], comp: list[int]) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# reference: breakpoint masks object by object, and canonical codes
+# ---------------------------------------------------------------------------
+
+
+def _prefix_max_masks(n: int) -> list[int]:
+    """Bit k-1 set iff {1..k} is stable, for each permutation of {1..n}."""
+    masks = []
+    for p in itertools.permutations(range(1, n + 1)):
+        mx = 0
+        mask = 0
+        for pos, val in enumerate(p, start=1):
+            if val > mx:
+                mx = val
+            if mx == pos:
+                mask |= 1 << (pos - 1)
+        masks.append(mask)
+    return masks
+
+
+def _matching_prefix_masks(pairs: int) -> list[int]:
+    """Even-prefix closure masks for all perfect matchings of {0..2·pairs-1}."""
+    m2 = 2 * pairs
+    masks = []
+    partner = [-1] * m2
+
+    def rec(free: list[int]) -> None:
+        if not free:
+            mx = -1
+            mask = 0
+            for pos in range(m2):
+                if partner[pos] > mx:
+                    mx = partner[pos]
+                if pos % 2 == 1 and mx <= pos:
+                    mask |= 1 << (pos // 2)
+            masks.append(mask)
+            return
+        a = free[0]
+        rest = free[1:]
+        for i, b in enumerate(rest):
+            partner[a], partner[b] = b, a
+            rec(rest[:i] + rest[i + 1 :])
+        partner[a] = -1
+
+    rec(list(range(m2)))
+    return masks
+
+
+def canonical_tournament_code(code: int, n: int) -> int:
+    """Lexicographically minimal relabeling of a tournament code."""
+    return min(_apply_action(code, row) for row in _relabel_actions(n))
+
+
 # Hand-checkable part tallies, frozen from direct enumeration.
 FROZEN = {
     ("tournaments", 3, 1): {1: 2, 3: 6},
@@ -128,6 +184,10 @@ def test_frozen_small_enumerations(kind, n, d):
         ("permutations", catalog.permutations, 2, 4),
         ("matchings", catalog.matchings, 1, 5),
         ("matchings", catalog.matchings, 2, 3),
+        # past the oracle grid; the prefix-set walk keeps these sizes cheap
+        ("permutations", catalog.permutations, 1, 12),
+        ("matchings", catalog.matchings, 1, 9),
+        ("permutations", catalog.permutations, 2, 8),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
 )
@@ -233,7 +293,19 @@ def test_grouped_breakpoints_match_every_tuple(masks_of, n, d):
     naive = Counter(
         reduce(and_, members).bit_count() for members in itertools.product(masks, repeat=d)
     )
-    assert _common_breakpoints(masks, d) == (naive, len(masks) ** d)
+    assert _common_breakpoints(Counter(masks), d) == (naive, len(masks) ** d)
+
+
+@pytest.mark.parametrize(
+    "walk,per_object,n",
+    [(_permutation_masks, _prefix_max_masks, n) for n in range(1, 10)]
+    + [(_matching_masks, _matching_prefix_masks, n) for n in range(1, 7)],
+    ids=lambda v: v.__name__.strip("_") if callable(v) else str(v),
+)
+def test_prefix_set_walk_matches_every_object(walk, per_object, n):
+    """The walk's mask tally against one mask per object, at every size of
+    the permutation and matching rows of the oracle grid."""
+    assert walk(n) == Counter(per_object(n))
 
 
 def test_object_counts():

@@ -68,10 +68,16 @@ def test_audit_survey_small_range():
     [
         (("--class", "tournaments", "--n-max", "-1"), "--n-max"),
         (("--class", "tournaments", "--n-max", "0"), "--n-max"),
-        (("--class", "tournaments", "--d", "0", "--n-max", "3"), "--d"),
-        (("--class", "unlabeled_tournaments", "--d", "2", "--n-max", "3"), "--d"),
+        (("--class", "tournaments", "--d", "0", "--n-max", "3"), "RangeError: --d 0: "),
+        (
+            ("--class", "unlabeled_tournaments", "--d", "2", "--n-max", "3"),
+            "RangeError: --d 2: unlabeled_tournaments has no d parameter; only --d 1 is defined",
+        ),
+        (("--class", "tournaments", "--d", "0", "--n-max", "3", "--budget", "0"), "--d 0: "),
+        (("--class", "unlabeled_tournaments", "--d", "2"), "--d 2: unlabeled_tournaments has"),
     ],
-    ids=["n-max-negative", "n-max-zero", "d-zero", "d-unlabeled"],
+    ids=["n-max-negative", "n-max-zero", "d-zero", "d-unlabeled", "d-zero-budget-zero",
+         "d-unlabeled-no-n-max"],
 )
 def test_oracle_crosscheck_rejects_bad_arguments(args, named):
     res = run_script("oracle_crosscheck.py", *args)
