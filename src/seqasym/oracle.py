@@ -7,7 +7,7 @@ objects themselves.  The oracles know nothing about generating functions:
 * tournaments(d): all (d+1)^C(n,2) assignments of pair outcomes (the value
   of a pair {i,j}, i<j, is how many of the d games i won); vertex i beats j
   if it won at least one game; parts = strongly connected components of the
-  beat digraph, read off each distinct weighted score vector (games won per
+  beat digraph, read off each distinct score multiset (games won per
   vertex) by Landau's rule scaled by d: the number of k for which the k
   smallest scores sum to d*C(k,2) (Landau 1953; Moon, Topics on Tournaments,
   1968; proof at ``enumerate_tournament_parts``);
@@ -18,16 +18,21 @@ objects themselves.  The oracles know nothing about generating functions:
   breakpoints are the even prefixes closed under every member;
 * unlabeled tournaments: one representative per isomorphism orbit, found by
   ascending scan with orbit marking (the first unvisited code is the minimal
-  member of a fresh orbit, so each orbit is expanded once); parts come from
-  the representative's score vector by the same Landau rule, with d = 1.
+  member of a fresh orbit, so each orbit is expanded once); the orbit is
+  read off precomputed relabeling columns, one XOR per set bit and
+  relabeling; parts come from the representative's scores by the same
+  Landau rule, with d = 1.
 
-Each oracle tallies an exact invariant of its objects (a score vector, a
+Each oracle tallies an exact invariant of its objects (a score multiset, a
 breakpoint mask) and turns each distinct value into a part count once; the
-tallies are asserted to sum to the number of objects.  Breakpoint masks are
-tallied by one walk over prefix sets that expands each set once.  One
-helper checks the arguments and the budget (in objects, not walk states),
-times the tally and builds the result for every kind.  Tests run Tarjan and
-the per-object mask walks on every object at small sizes to check them.
+tallies are asserted to sum to the number of objects.  Scores are folded
+in pair by pair, and a vertex's score joins a histogram once the vertex has
+played its last pair, so the keys merge to score histograms.  Breakpoint
+masks are tallied by one walk over prefix sets that expands each set once.
+One helper checks the arguments and the budget (in objects, not walk
+states), times the tally and builds the result for every kind.  Tests run
+Tarjan, the per-object mask walks and per-object relabeling on every object
+at small sizes to check them.
 """
 
 from __future__ import annotations
@@ -82,8 +87,14 @@ ORACLE_KINDS = ("tournaments", "permutations", "matchings", "unlabeled_tournamen
 DEFAULT_BUDGET = 3_000_000
 
 
+def _check_d(d: int) -> None:
+    if d < 1:
+        raise RangeError(f"--d {d}: need d >= 1")
+
+
 def object_count(kind: str, n: int, d: int = 1) -> int:
     """How many raw objects the oracle would visit (the enumeration budget)."""
+    _check_d(d)
     if kind == "tournaments":
         return (d + 1) ** comb(n, 2)
     if kind == "permutations":
@@ -106,8 +117,7 @@ def _enumerate(
     """Check n, d and the budget, then time ``tally() -> (counts, total)``."""
     if n < 1:
         raise RangeError(f"--n {n}: need n >= 1")
-    if d < 1:
-        raise RangeError(f"--d {d}: need d >= 1")
+    _check_d(d)
     if budget is not None:
         objects = object_count(kind, n, d)
         if objects > budget:
@@ -143,7 +153,7 @@ def enumerate_tournament_parts(
     """Part-count distribution over all (d+1)^C(n,2) multi-tournaments.
 
     Parts are counted by the weighted Landau rule on each distinct score
-    vector.  A set S of k vertices sends no beat-arc out of S exactly when
+    multiset.  A set S of k vertices sends no beat-arc out of S exactly when
     it wins no game against the rest, i.e. its scores sum to d*C(k,2); then
     S scores at most d(k-1) each and the rest at least dk, so S is the k
     smallest, and the sizes k of such sets are the part boundaries.
@@ -152,50 +162,75 @@ def enumerate_tournament_parts(
     def tally() -> tuple[Counter[int], int]:
         pairs, _ = _pair_table(n)
         total = (d + 1) ** len(pairs)
-        keys = _score_tally(n, pairs, d)
-        assert sum(keys.values()) == total, "tally skipped or repeated outcomes"
+        multisets = _score_tally(n, pairs, d)
+        assert sum(multisets.values()) == total, "tally skipped or repeated outcomes"
         counts: Counter[int] = Counter()
-        for key, c in keys.items():
-            counts[_landau_parts(n, key, d)] += c
+        for multiset, c in multisets.items():
+            counts[_landau_parts(multiset, d)] += c
         return counts, total
 
     return _enumerate("tournaments", n, d, budget, tally)
 
 
-def _score_tally(n: int, pairs: list[tuple[int, int]], d: int) -> dict[int, int]:
-    """Tally of weighted score-vector keys over all (d+1)^len(pairs) outcomes.
+def _score_tally(n: int, pairs: list[tuple[int, int]], d: int) -> dict[tuple[int, ...], int]:
+    """Tally of score multisets (ascending tuples) over all (d+1)^len(pairs)
+    outcomes of the pairs of an n-vertex multi-tournament.
 
-    The key is ``sum(score[v] * base**v)`` with base ``d(n-1)+1``.  Pairs are
-    folded in one at a time; outcome ``v = 0..d`` of ``(i, j)`` gives i v wins
-    and j the other d-v.
+    Pairs are folded in one at a time; outcome ``v = 0..d`` of ``(i, j)``
+    gives i v wins and j the other d-v.  A key holds the score of vertex v in
+    digit v of base ``d(n-1)+2`` while v still has pairs to play.  Once v has
+    played its last pair its score s is final, so it moves to the histogram
+    digit ``n+s``: keys that spread the same finished scores over different
+    vertices merge, and the final keys are score histograms.
     """
-    base = d * (n - 1) + 1
-    powers = [base**v for v in range(n)]
-    tally = {0: 1}
-    for i, j in pairs:
-        steps = [v * powers[i] + (d - v) * powers[j] for v in range(d + 1)]
+    base = d * (n - 1) + 2  # a digit holds a score, or how many of n vertices share one
+    place = [base**v for v in range(n)]
+    histogram = [base ** (n + s) for s in range(base - 1)]
+    last_pair = {v: idx for idx, pair in enumerate(pairs) for v in pair}
+    tally = {0: 1} if pairs else {histogram[0]: 1}  # n = 1: one vertex, score 0
+    for idx, (i, j) in enumerate(pairs):
+        steps = [v * place[i] + (d - v) * place[j] for v in range(d + 1)]
         folded: dict[int, int] = {}
         get = folded.get
         for key, c in tally.items():
             for step in steps:
                 folded[key + step] = get(key + step, 0) + c
         tally = folded
-    return tally
+        for v in (i, j):
+            if last_pair[v] == idx:
+                tally = _finish_vertex(tally, place[v], base, histogram)
+    out: dict[tuple[int, ...], int] = {}
+    for key, c in tally.items():
+        multiset: list[int] = []
+        for s, h in enumerate(histogram):
+            multiset += [s] * (key // h % base)
+        out[tuple(multiset)] = c
+    return out
 
 
-def _landau_parts(n: int, key: int, d: int) -> int:
-    """Strong components of any d-tournament with this weighted score key.
+def _finish_vertex(
+    tally: dict[int, int], place: int, base: int, histogram: list[int]
+) -> dict[int, int]:
+    """Move one vertex's final score from its own digit to the histogram."""
+    merged: dict[int, int] = {}
+    get = merged.get
+    for key, c in tally.items():
+        s = key // place % base
+        key += histogram[s] - s * place
+        merged[key] = get(key, 0) + c
+    return merged
+
+
+def _landau_parts(scores: Iterable[int], d: int) -> int:
+    """Strong components of any d-tournament with these scores (games won
+    per vertex, in any order).
 
     Landau's rule, weighted by d: the count of k for which the k smallest
-    scores sum to d*C(k,2).  Asserts the vector is a weighted score sequence
+    scores sum to d*C(k,2).  Asserts the scores are a weighted score sequence
     (total d*C(n,2), every sorted prefix of length k at least d*C(k,2)).
     """
-    base = d * (n - 1) + 1
-    scores = []
-    for _ in range(n):
-        key, s = divmod(key, base)
-        scores.append(s)
-    scores.sort()
+    scores = sorted(scores)
+    n = len(scores)
     parts = prefix = 0
     for k, s in enumerate(scores, start=1):
         prefix += s
@@ -296,28 +331,37 @@ def enumerate_matching_parts(
 # ---------------------------------------------------------------------------
 
 
-def _relabel_actions(n: int) -> list[list[tuple[int, int]]]:
-    """For each permutation: per pair index, (target index, flip bit)."""
+def _relabel_columns(n: int) -> tuple[list[int], list[list[int]]]:
+    """``flips[p]`` and ``columns[src][p]`` for every relabeling p of
+    {0..n-1}, in ``itertools.permutations`` order.
+
+    Relabeling p sends pair src = (i, j) to the pair {p[i], p[j]}: bit src of
+    a code moves to that pair's index, inverted when p[i] > p[j].  So the
+    image of a code is ``flips[p]`` (the inverted bits of code 0) XOR-ed with
+    ``columns[src][p]`` (the bit src lands on) for each set bit src.
+    """
     pairs, pos = _pair_table(n)
-    actions = []
+    flips = []
+    columns: list[list[int]] = [[] for _ in pairs]
     for perm in itertools.permutations(range(n)):
-        row = []
-        for i, j in pairs:
+        flip = 0
+        for column, (i, j) in zip(columns, pairs):
             a, b = perm[i], perm[j]
-            if a < b:
-                row.append((pos[(a, b)], 0))
-            else:
-                row.append((pos[(b, a)], 1))
-        actions.append(row)
-    return actions
+            bit = 1 << pos[(min(a, b), max(a, b))]
+            column.append(bit)
+            if a > b:
+                flip |= bit
+        flips.append(flip)
+    return flips, columns
 
 
-def _apply_action(code: int, row: list[tuple[int, int]]) -> int:
-    out = 0
-    for src, (tgt, flip) in enumerate(row):
-        if ((code >> src) & 1) ^ flip:
-            out |= 1 << tgt
-    return out
+def _relabelings(code: int, flips: list[int], columns: list[list[int]]) -> list[int]:
+    """The images of a code under every relabeling, one column per set bit."""
+    images = flips
+    for src, column in enumerate(columns):
+        if code >> src & 1:
+            images = [x ^ bit for x, bit in zip(images, column)]
+    return images
 
 
 def enumerate_unlabeled_tournament_parts(
@@ -328,25 +372,27 @@ def enumerate_unlabeled_tournament_parts(
     Scans codes in ascending order; the first unvisited code is the minimal
     member of a fresh orbit and serves as its representative.  Marking the
     whole orbit visited means every orbit is expanded and counted once.  The
-    representative's parts come from its score key (base n, bit idx of the
-    code set when the first vertex of pair idx wins) by Landau's rule.
+    orbit comes from the relabeling columns of ``_relabel_columns``, and the
+    representative's parts from its scores (bit idx of the code is set when
+    the first vertex of pair idx wins) by Landau's rule.
     """
 
     def tally() -> tuple[Counter[int], int]:
         pairs, _ = _pair_table(n)
-        wins = [(n**i, n**j) for i, j in pairs]
-        actions = _relabel_actions(n)
+        flips, columns = _relabel_columns(n)
         counts: Counter[int] = Counter()
         visited = bytearray(1 << len(pairs))
         for code in range(len(visited)):
             if visited[code]:
                 continue
-            orbit = {_apply_action(code, row) for row in actions}
+            orbit = set(_relabelings(code, flips, columns))
             for c in orbit:
                 visited[c] = 1
             assert min(orbit) == code  # earlier codes of the orbit are visited
-            key = sum(wi if (code >> idx) & 1 else wj for idx, (wi, wj) in enumerate(wins))
-            counts[_landau_parts(n, key, 1)] += 1
+            scores = [0] * n
+            for idx, (i, j) in enumerate(pairs):
+                scores[i if code >> idx & 1 else j] += 1
+            counts[_landau_parts(scores, 1)] += 1
         return counts, sum(counts.values())
 
     return _enumerate("unlabeled_tournaments", n, 1, budget, tally)

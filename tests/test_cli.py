@@ -5,14 +5,14 @@ import re
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqasym.catalog import CATALOG_FACTORIES
 from seqasym.cli import main, parse_range
 from seqasym.errors import RangeError
-from seqasym.oracle import ORACLE_KINDS
-from seqasym.suites import MEMBER_SUITES, Check, run_suite
+from seqasym.oracle import ORACLE_KINDS, object_count
+from seqasym.suites import MEMBER_SUITES, ORACLE_GRID, SUITE_NAMES, Check, run_suite
 
 from conftest import run_python
 
@@ -331,6 +331,30 @@ def test_verify_all_times_every_member_suite(runner, monkeypatch):
     timed = [line.split(":")[0] for line in res.stderr.splitlines()]
     assert timed == [f"elapsed {name}" for name in MEMBER_SUITES] + ["elapsed"]
     assert res.stdout.splitlines()[:-1] == [f"ok   {name}-check" for name in MEMBER_SUITES]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    suite=st.sampled_from(SUITE_NAMES),
+    budget=st.none() | st.integers(min_value=0, max_value=3_000_000),
+)
+@example(suite="residual-order", budget=None)  # criterion 8's failing checks
+@example(suite="oracle", budget=362_880)  # 9! permutations run at the budget; two rows skip
+def test_verify_exit_code_follows_failures(suite, budget):
+    """Every suite and budget ends without an uncaught exception, exits 1
+    exactly when a check fails, and the oracle suite skips the grid rows
+    whose objects exceed the budget."""
+    args = ["verify", "--suite", suite, "--format", "json"]
+    res = CliRunner().invoke(main, args if budget is None else [*args, "--budget", str(budget)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    doc = json.loads(res.stdout)["result"]
+    assert res.exit_code == (1 if doc["failures"] > 0 else 0)
+    if suite == "oracle":
+        over = [
+            kind for kind, d, n_max in ORACLE_GRID
+            if budget is not None and object_count(kind, n_max, d) > budget
+        ]
+        assert doc["skipped"] == len(over)
 
 
 def test_run_suite_knows_only_member_suites():

@@ -1,10 +1,13 @@
 """Brute-force enumerators: frozen small cases, budgets, canonicalization,
-the weighted Landau rule against Tarjan, the prefix-set walk against the
-per-object breakpoint masks, grouped breakpoint tallies.
+the weighted Landau rule against Tarjan, the score-multiset tally against
+every outcome, the relabeling columns against per-object relabeling, the
+prefix-set walk against the per-object breakpoint masks, grouped
+breakpoint tallies.
 
 Tarjan's algorithm with the chain check on the condensation, the
-per-object mask generators and the canonical tournament code live here
-only: they are the references the oracles are checked against."""
+per-object mask generators, per-object relabeling and the canonical
+tournament code live here only: they are the references the oracles are
+checked against."""
 
 import dataclasses
 import importlib.util
@@ -20,13 +23,13 @@ from seqasym import catalog, oracle
 from seqasym.decomposition import parts_table
 from seqasym.errors import BudgetExceeded, RangeError, UnknownClass
 from seqasym.oracle import (
-    _apply_action,
     _common_breakpoints,
     _landau_parts,
     _matching_masks,
     _pair_table,
     _permutation_masks,
-    _relabel_actions,
+    _relabel_columns,
+    _relabelings,
     _score_tally,
     enumerate_tournament_parts,
     enumerate_unlabeled_tournament_parts,
@@ -97,7 +100,8 @@ def _condensation_is_chain(n: int, adj: list[int], comp: list[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reference: breakpoint masks object by object, and canonical codes
+# reference: breakpoint masks and relabelings object by object, and
+# canonical codes
 # ---------------------------------------------------------------------------
 
 
@@ -144,6 +148,30 @@ def _matching_prefix_masks(pairs: int) -> list[int]:
     return masks
 
 
+def _relabel_actions(n: int) -> list[list[tuple[int, int]]]:
+    """For each permutation: per pair index, (target index, flip bit)."""
+    pairs, pos = _pair_table(n)
+    actions = []
+    for perm in itertools.permutations(range(n)):
+        row = []
+        for i, j in pairs:
+            a, b = perm[i], perm[j]
+            if a < b:
+                row.append((pos[(a, b)], 0))
+            else:
+                row.append((pos[(b, a)], 1))
+        actions.append(row)
+    return actions
+
+
+def _apply_action(code: int, row: list[tuple[int, int]]) -> int:
+    out = 0
+    for src, (tgt, flip) in enumerate(row):
+        if ((code >> src) & 1) ^ flip:
+            out |= 1 << tgt
+    return out
+
+
 def canonical_tournament_code(code: int, n: int) -> int:
     """Lexicographically minimal relabeling of a tournament code."""
     return min(_apply_action(code, row) for row in _relabel_actions(n))
@@ -188,6 +216,10 @@ def test_frozen_small_enumerations(kind, n, d):
         ("permutations", catalog.permutations, 1, 12),
         ("matchings", catalog.matchings, 1, 9),
         ("permutations", catalog.permutations, 2, 8),
+        # past the oracle grid; the score-multiset tally keeps these sizes cheap
+        ("tournaments", catalog.tournaments, 1, 8),
+        ("tournaments", catalog.tournaments, 2, 6),
+        ("tournaments", catalog.tournaments, 3, 5),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
 )
@@ -213,39 +245,49 @@ def test_unlabeled_enumeration_matches_counting_table():
 
 def test_unlabeled_shards_expand_each_orbit_once(monkeypatch):
     """One ascending walk expands each orbit exactly once, at its minimum."""
-    calls = Counter()
-    apply_action = oracle._apply_action
+    expanded = []
+    relabelings = oracle._relabelings
 
-    def counting(code, row):
-        calls["n"] += 1
-        return apply_action(code, row)
+    def counting(code, flips, columns):
+        images = relabelings(code, flips, columns)
+        expanded.append((code, set(images)))
+        return images
 
-    monkeypatch.setattr(oracle, "_apply_action", counting)
+    monkeypatch.setattr(oracle, "_relabelings", counting)
     res = enumerate_unlabeled_tournament_parts(5)
     assert res.total_enumerated == 12
-    assert calls["n"] == 12 * 120  # one expansion by the 5! relabelings per orbit
+    assert len(expanded) == 12  # one expansion by the 5! relabelings per orbit
+    assert all(code == min(orbit) for code, orbit in expanded)
+    orbits = [orbit for _, orbit in expanded]
+    assert sum(map(len, orbits)) == len(set().union(*orbits)) == 2**10
 
 
-def _score_key(scores, d):
-    base = d * (len(scores) - 1) + 1
-    return sum(s * base**v for v, s in enumerate(scores))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_relabeling_columns_match_every_relabeling(n):
+    """Column images against per-object relabeling, for every code and every
+    permutation, in the same permutation order."""
+    flips, columns = _relabel_columns(n)
+    actions = _relabel_actions(n)
+    for code in range(2 ** len(columns)):
+        assert _relabelings(code, flips, columns) == [_apply_action(code, row) for row in actions]
 
 
 def test_landau_rule_on_known_tournaments():
     for n in range(1, 8):
-        assert _landau_parts(n, _score_key(list(range(n)), 1), 1) == n  # transitive
-    assert _landau_parts(5, _score_key([2] * 5, 1), 1) == 1  # regular on 5 vertices
+        assert _landau_parts(range(n), 1) == n  # transitive
+        assert _landau_parts(reversed(range(n)), 1) == n  # in any order
+    assert _landau_parts([2] * 5, 1) == 1  # regular on 5 vertices
     with pytest.raises(AssertionError):
-        _landau_parts(4, _score_key([0, 0, 3, 3], 1), 1)  # two vertices of score 0
+        _landau_parts([0, 0, 3, 3], 1)  # two vertices of score 0
     with pytest.raises(AssertionError):
-        _landau_parts(3, _score_key([2, 2, 2], 1), 1)  # six wins in three games
+        _landau_parts([2, 2, 2], 1)  # six wins in three games
     for n in range(1, 7):
         # d=2 transitive: vertex v wins both games against every lower vertex
-        assert _landau_parts(n, _score_key([2 * v for v in range(n)], 2), 2) == n
+        assert _landau_parts([2 * v for v in range(n)], 2) == n
         # every pair split 1-1: each vertex beats every other, one part
-        assert _landau_parts(n, _score_key([n - 1] * n, 2), 2) == 1
+        assert _landau_parts([n - 1] * n, 2) == 1
     with pytest.raises(AssertionError):
-        _landau_parts(3, _score_key([0, 0, 6], 2), 2)  # two vertices of score 0
+        _landau_parts([0, 0, 6], 2)  # two vertices of score 0
 
 
 @pytest.mark.parametrize(
@@ -258,7 +300,8 @@ def test_landau_rule_on_known_tournaments():
 )
 def test_landau_rule_matches_tarjan_on_every_tournament(n, d):
     """Weighted score rule against Tarjan and the chain assertion, outcome by
-    outcome, and the score tally against the keys read off every outcome."""
+    outcome, and the score tally against the score multisets read off every
+    outcome."""
     pairs, _ = _pair_table(n)
     direct = Counter()
     for outcome in itertools.product(range(d + 1), repeat=len(pairs)):
@@ -271,12 +314,11 @@ def test_landau_rule_matches_tarjan_on_every_tournament(n, d):
                 adj[i] |= 1 << j
             if v < d:
                 adj[j] |= 1 << i
-        key = _score_key(scores, d)
         m, comp = _strong_components(n, adj)
-        assert _landau_parts(n, key, d) == m, (n, d, outcome)
+        assert _landau_parts(scores, d) == m, (n, d, outcome)
         if m > 1:
             assert _condensation_is_chain(n, adj, comp), (n, d, outcome)
-        direct[key] += 1
+        direct[tuple(sorted(scores))] += 1
     assert _score_tally(n, pairs, d) == direct
 
 
@@ -315,6 +357,12 @@ def test_object_counts():
     assert object_count("matchings", 3, 1) == 15
     assert object_count("matchings", 3, 2) == 225
     assert object_count("unlabeled_tournaments", 4, 1) == 64
+
+
+@pytest.mark.parametrize("kind,n,d", [("tournaments", 3, 0), ("permutations", 3, -1)])
+def test_object_count_refuses_d_below_one(kind, n, d):
+    with pytest.raises(RangeError, match=f"^--d {d}: need d >= 1$"):
+        object_count(kind, n, d)
 
 
 def test_budget_refuses_oversized_runs():

@@ -57,6 +57,14 @@ def test_oracle_crosscheck_closing_line_counts_skipped_rows():
     assert res.stdout.splitlines()[-1] == "all enumerations match; rows ran: 2, skipped: 2"
 
 
+def test_oracle_crosscheck_tournaments_past_the_grid():
+    res = run_script("oracle_crosscheck.py", "--class", "tournaments", "--n-max", "8")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert [line.split()[1:3] for line in lines[:-1]] == [[f"n={n}", "ok"] for n in range(1, 9)]
+    assert lines[-1] == "all enumerations match; rows ran: 1, skipped: 0"
+
+
 def test_audit_survey_small_range():
     res = run_script("audit_survey.py", "--N", "12")
     assert res.returncode == 0, res.stderr
