@@ -35,6 +35,7 @@ coefficients are exactly the counting values of W.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 from fractions import Fraction
 from math import comb, factorial
 
@@ -44,6 +45,7 @@ from .errors import LeadingTermUndefined, RangeError, UnsupportedF
 from .series import PowerSeries
 
 __all__ = [
+    "CONSTRUCTIONS",
     "CoefficientTable",
     "ExpansionReport",
     "ExpansionTerm",
@@ -57,6 +59,39 @@ __all__ = [
     "cyc_class",
     "cyc_part_count",
 ]
+
+
+# ---------------------------------------------------------------------------
+# construction rules
+# ---------------------------------------------------------------------------
+
+CONSTRUCTIONS = ("seq", "cyc", "set")
+
+# the one labeling a construction is defined for; seq takes either
+_LABELING = {"cyc": "labeled", "set": "unlabeled"}
+
+
+def _admit(A: CountingSequence, construction: str, m: int = 1) -> None:
+    """Refuse a construction, class or part count outside the construction rules.
+
+    seq applies to any class, cyc to labeled classes only, and set to
+    unlabeled classes with the one-part expansion (m = 1) only.
+    """
+    if construction not in CONSTRUCTIONS:
+        raise RangeError(
+            f"--construction {construction}: unknown construction;"
+            f" known: {', '.join(CONSTRUCTIONS)}"
+        )
+    if m < 1:
+        raise RangeError(f"--m {m}: m must be at least 1")
+    labeling = _LABELING.get(construction, A.labeling)
+    if A.labeling != labeling:
+        raise RangeError(
+            f"--construction {construction}: defined for {labeling} classes only;"
+            f" {A.name} is {A.labeling}"
+        )
+    if construction == "set" and m != 1:
+        raise RangeError(f"--m {m}: the set construction defines only the one-part expansion")
 
 
 # ---------------------------------------------------------------------------
@@ -87,30 +122,37 @@ class CoefficientTable:
         return self._rows[m - 1]
 
 
-def seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
-    """d_{k,m} = m (b_k^(m-1) - 2 b_k^(m) + b_k^(m+1)) for m = 1..m_max."""
-    parts = parts_table(A, m_max + 1, k_max)
-    rows = []
-    for m in range(1, m_max + 1):
-        rows.append(
-            tuple(
-                m
-                * (
-                    parts.entries(k, m - 1)
-                    - 2 * parts.entries(k, m)
-                    + parts.entries(k, m + 1)
-                )
-                for k in range(k_max + 1)
-            )
-        )
+def _coefficients(
+    A: CountingSequence,
+    construction: str,
+    m_max: int,
+    k_max: int,
+    entry: Callable[[Callable[[int, int], int], int, int], int],
+) -> CoefficientTable:
+    """The table of entry(b, k, m) for m = 1..m_max, k = 0..k_max, b(k, m) = b_k^(m).
+
+    The construction's rules are checked before any part count is computed;
+    seq reads row m_max + 1 of the part counts, cyc and set no row past m_max.
+    """
+    _admit(A, construction, m_max)
+    b = parts_table(A, m_max + (construction == "seq"), k_max).entries
     return CoefficientTable(
-        construction="seq",
-        class_name=A.name,
+        construction="set-via-seq" if construction == "set" else construction,
+        class_name=f"cyc({A.name})" if construction == "cyc" else A.name,
         labeling=A.labeling,
         period=A.period,
         k_max=k_max,
         m_max=m_max,
-        _rows=tuple(rows),
+        _rows=tuple(
+            tuple(entry(b, k, m) for k in range(k_max + 1)) for m in range(1, m_max + 1)
+        ),
+    )
+
+
+def seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
+    """d_{k,m} = m (b_k^(m-1) - 2 b_k^(m) + b_k^(m+1)) for m = 1..m_max."""
+    return _coefficients(
+        A, "seq", m_max, k_max, lambda b, k, m: m * (b(k, m - 1) - 2 * b(k, m) + b(k, m + 1))
     )
 
 
@@ -120,45 +162,17 @@ def cyc_coefficients(A: CountingSequence, m_max: int, k_max: int) -> Coefficient
     ``A`` is the sequence-side companion class supplying the part counts; the
     caller asserts that the class under study is CYC of the same part class.
     """
-    if A.labeling != "labeled":
-        raise RangeError("the cycle construction is defined for labeled classes")
-    parts = parts_table(A, m_max, k_max)
-    rows = []
-    for m in range(1, m_max + 1):
-        rows.append(
-            tuple(parts.entries(k, m - 1) - parts.entries(k, m) for k in range(k_max + 1))
-        )
-    return CoefficientTable(
-        construction="cyc",
-        class_name=f"cyc({A.name})",
-        labeling=A.labeling,
-        period=A.period,
-        k_max=k_max,
-        m_max=m_max,
-        _rows=tuple(rows),
-    )
+    return _coefficients(A, "cyc", m_max, k_max, lambda b, k, m: b(k, m - 1) - b(k, m))
 
 
-def set_via_seq_coefficients(A: CountingSequence, k_max: int) -> CoefficientTable:
+def set_via_seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
     """One-part expansion data for the set construction of an unlabeled class.
 
     entries(k, 1) for k >= 1 are the sequence-irreducible counts of A (the
     evaluation SUBTRACTS them: P ~ 1 - sum d_k a_{n-k}/a_n); entries(0, 1) = 1.
-    Multi-part coefficients are not defined for sets here and are not produced.
+    Multi-part coefficients are not defined for sets: 1 is the only m_max.
     """
-    if A.labeling != "unlabeled":
-        raise RangeError("set-via-seq expansion is defined for unlabeled classes")
-    parts = parts_table(A, 1, k_max)
-    row = tuple(1 if k == 0 else parts.entries(k, 1) for k in range(k_max + 1))
-    return CoefficientTable(
-        construction="set-via-seq",
-        class_name=A.name,
-        labeling=A.labeling,
-        period=A.period,
-        k_max=k_max,
-        m_max=1,
-        _rows=(row,),
-    )
+    return _coefficients(A, "set", m_max, k_max, lambda b, k, m: b(k, 1) if k else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,40 +307,36 @@ def evaluate_partial_sum(
     (inverting the multiset construction is out of scope), so the exact,
     residual, and normalized fields are None.
 
-    Raises RangeError when the class whose values give the shapes has no
-    object of size n.
+    Raises RangeError outside the construction rules, for r < 0, for n below
+    the index of the first omitted term, and when the class whose values give
+    the shapes has no object of size n.
     """
+    _admit(A, construction, m)
     if r < 0:
-        raise RangeError("r must be >= 0")
+        raise RangeError(f"--terms {r}: terms must be nonnegative")
+    # the expansion index steps by the period on a labeled periodic class
+    p = A.period if construction == "seq" and A.labeling == "labeled" else 1
+    if n < p * (r + 1):
+        raise RangeError(f"--n {n} is too small for --terms {r}: need --n >= {p * (r + 1)}")
     if A.period > 1 and A.labeling == "labeled" and n % A.period:
         raise RangeError(f"size {n} is not a multiple of the period {A.period}")
+    shapes_class = A
+    note = ""
     if construction == "seq":
-        shapes_class = A
-        p = A.period if A.labeling == "labeled" else 1
         coefficients = seq_coefficients(A, m, p * (r + 1))
         count = part_count(A, m, n)
-        note = ""
     elif construction == "cyc":
-        if A.labeling != "labeled":
-            raise RangeError("the cycle construction is defined for labeled classes")
-        p = 1
         shapes_class = cyc_class(A)
         coefficients = cyc_coefficients(A, m, r + 1)
         count = cyc_part_count(A, m, n)
         note = f"shapes and exact law from the derived cycle class over {A.name}"
-    elif construction == "set":
-        if m != 1:
-            raise RangeError("the set construction defines only the one-part expansion")
-        shapes_class = A
-        p = 1
-        coefficients = set_via_seq_coefficients(A, r + 1)
+    else:
+        coefficients = set_via_seq_coefficients(A, m, r + 1)
         count = None
         note = (
             "set construction: partial sum is 1 - sum of irreducible-count terms; "
             "no exact reference law in scope"
         )
-    else:
-        raise RangeError(f"unknown construction {construction!r}")
     an = shapes_class.value(n)
     if an == 0:
         raise RangeError(f"{shapes_class.name} has no objects of size {n}")
@@ -352,7 +362,7 @@ def evaluate_partial_sum(
         omitted_shape = _term_shape(shapes_class, n, p * (r + 1))
         normalized = residual / omitted_shape if omitted_shape else None
     return ExpansionReport(
-        class_name=shapes_class.name if construction == "cyc" else A.name,
+        class_name=shapes_class.name,
         labeling=A.labeling,
         construction=construction,
         m=m,
@@ -384,8 +394,7 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
     the first-part recurrence with weight C(n-1, k-1): c_1..c_N come from one
     :func:`first_part_counts` pass over a_0..a_N.
     """
-    if A_seq.labeling != "labeled":
-        raise RangeError("the cycle construction is defined for labeled classes")
+    _admit(A_seq, "cyc")
 
     def fill(n: int) -> list[int]:
         c = first_part_counts(A_seq.values(n), _rooted_weight)
@@ -406,10 +415,7 @@ def _rooted_weight(n: int, k: int) -> int:
 
 def cyc_part_count(A_seq: CountingSequence, m: int, n: int) -> int:
     """Number of size-n cycle objects with exactly m parts: n!·[z^n] B^m/m."""
-    if A_seq.labeling != "labeled":
-        raise RangeError("the cycle construction is defined for labeled classes")
-    if m < 1:
-        raise RangeError("m must be a positive integer")
+    _admit(A_seq, "cyc", m)
     count, rest = divmod(part_count(A_seq, m, n), m)
     assert rest == 0, f"non-integer {m}-part cycle count at n={n}"
     return count

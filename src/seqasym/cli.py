@@ -18,6 +18,7 @@ import click
 
 from . import catalog
 from .asymptotics import (
+    CONSTRUCTIONS,
     ExpansionReport,
     cyc_coefficients,
     cyc_part_count,
@@ -52,6 +53,10 @@ def parse_range(text: str, what: str = "range") -> tuple[int, int]:
 
 def _resolve(class_name: str | None, d: int, custom: str | None) -> catalog.CountingSequence:
     if custom is not None:
+        if class_name is not None:
+            raise RangeError(f"--class {class_name}: give --class or --custom, not both")
+        if d != 1:
+            raise RangeError(f"--d {d}: a --custom class has no d parameter")
         return catalog.load_custom(custom)
     if class_name is None:
         raise RangeError("either --class or --custom is required")
@@ -91,9 +96,7 @@ def main() -> None:
 @click.option("--class", "class_name", default=None, help="catalog class name")
 @click.option("--d", "d", type=int, default=1, show_default=True)
 @click.option("--kind", type=click.Choice(["parts", "coefficients"]), default="parts")
-@click.option(
-    "--construction", type=click.Choice(["seq", "cyc", "set"]), default="seq"
-)
+@click.option("--construction", type=click.Choice(CONSTRUCTIONS), default="seq")
 @click.option("--m", "m_range", default="1..5", show_default=True)
 @click.option("--k", "k_range", default=None, help="column range for coefficients")
 @click.option("--n", "n_range", default=None, help="column range for parts")
@@ -107,41 +110,34 @@ def cmd_table(class_name, d, kind, construction, m_range, k_range, n_range, fmt,
         m_lo, m_hi = parse_range(m_range, "--m")
         if m_lo < 1:
             raise RangeError(f"--m {m_range}: m must start at 1")
-        if kind == "parts":
-            lo, hi = parse_range(n_range or "1..8", "--n")
-            if lo < 0:
-                raise RangeError(f"--n {n_range}: n must be nonnegative")
-            index_label = "n"
-            if construction == "seq":
-                table = parts_table(A, m_hi, hi)
-                rows = [
-                    (m, [table.entries(n, m) for n in range(lo, hi + 1)])
-                    for m in range(m_lo, m_hi + 1)
-                ]
-            elif construction == "cyc":
-                rows = [
-                    (m, [cyc_part_count(A, m, n) for n in range(lo, hi + 1)])
-                    for m in range(m_lo, m_hi + 1)
-                ]
-            else:
-                raise RangeError("no part table is defined for the set construction")
+        flag, text, stray, stray_text = (
+            ("--n", n_range or "1..8", "--k", k_range)
+            if kind == "parts"
+            else ("--k", k_range or "0..8", "--n", n_range)
+        )
+        if stray_text is not None:
+            raise RangeError(f"{stray} {stray_text}: --kind {kind} takes {flag}")
+        lo, hi = parse_range(text, flag)
+        index_label = flag[2:]
+        if lo < 0:
+            raise RangeError(f"{flag} {text}: {index_label} must be nonnegative")
+        if kind == "coefficients":
+            builder = {
+                "seq": seq_coefficients,
+                "cyc": cyc_coefficients,
+                "set": set_via_seq_coefficients,
+            }[construction]
+            cell = builder(A, m_hi, hi).entries
+        elif construction == "seq":
+            cell = parts_table(A, m_hi, hi).entries
+        elif construction == "cyc":
+
+            def cell(n: int, m: int) -> int:
+                return cyc_part_count(A, m, n)
+
         else:
-            lo, hi = parse_range(k_range or "0..8", "--k")
-            if lo < 0:
-                raise RangeError(f"--k {k_range}: k must be nonnegative")
-            index_label = "k"
-            if construction == "seq":
-                table = seq_coefficients(A, m_hi, hi)
-            elif construction == "cyc":
-                table = cyc_coefficients(A, m_hi, hi)
-            else:
-                if m_hi > 1:
-                    raise RangeError("--m must be 1: set coefficients exist only for m=1")
-                table = set_via_seq_coefficients(A, hi)
-            rows = [
-                (m, [table.entries(k, m) for k in range(lo, hi + 1)])
-                for m in range(m_lo, m_hi + 1)
-            ]
+            raise RangeError("--construction set: no part table; use --kind coefficients")
+        rows = [(m, [cell(i, m) for i in range(lo, hi + 1)]) for m in range(m_lo, m_hi + 1)]
         config = {
             "command": "table",
             "class": A.name,
@@ -242,9 +238,7 @@ def _expansion_text(report: ExpansionReport, fmt: str) -> str:
 @main.command("expansion")
 @click.option("--class", "class_name", default=None)
 @click.option("--d", "d", type=int, default=1, show_default=True)
-@click.option(
-    "--construction", type=click.Choice(["seq", "cyc", "set"]), default="seq"
-)
+@click.option("--construction", type=click.Choice(CONSTRUCTIONS), default="seq")
 @click.option("--m", "m_value", default="1", show_default=True)
 @click.option("--n", "n_value", type=int, required=True)
 @click.option("--terms", "terms", type=int, default=4, show_default=True)
@@ -258,15 +252,6 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
         m_lo, m_hi = parse_range(m_value, "--m")
         if m_lo != m_hi:
             raise RangeError(f"--m {m_value}: m must be a single value for expansions")
-        if m_lo < 1:
-            raise RangeError(f"--m must be at least 1, got {m_lo}")
-        if terms < 0:
-            raise RangeError(f"--terms must be nonnegative, got {terms}")
-        p = A.period if construction == "seq" and A.labeling == "labeled" else 1
-        if n_value < p * (terms + 1):
-            raise RangeError(
-                f"--n {n_value} is too small for --terms {terms}: need --n >= {p * (terms + 1)}"
-            )
         report = evaluate_partial_sum(A, m_lo, n_value, terms, construction)
         config = {
             "command": "expansion",

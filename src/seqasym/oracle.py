@@ -41,7 +41,6 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, factorial
 from typing import Callable, Iterable
 
 from . import catalog
@@ -87,24 +86,25 @@ ORACLE_KINDS = ("tournaments", "permutations", "matchings", "unlabeled_tournamen
 DEFAULT_BUDGET = 3_000_000
 
 
-def _check_d(d: int) -> None:
+def _check(n: int, d: int) -> None:
+    if n < 1:
+        raise RangeError(f"--n {n}: need n >= 1")
     if d < 1:
         raise RangeError(f"--d {d}: need d >= 1")
 
 
 def object_count(kind: str, n: int, d: int = 1) -> int:
-    """How many raw objects the oracle would visit (the enumeration budget)."""
-    _check_d(d)
-    if kind == "tournaments":
-        return (d + 1) ** comb(n, 2)
-    if kind == "permutations":
-        return factorial(n) ** d
-    if kind == "matchings":
-        m2 = 2 * n
-        return (factorial(m2) // (2**n * factorial(n))) ** d
+    """How many raw objects the oracle would visit (the enumeration budget).
+
+    That is the catalog count of the kind, except that the unlabeled
+    tournament oracle scans the codes of the labeled tournaments(1).
+    """
+    _check(n, d)
+    if kind not in ORACLE_KINDS:
+        raise UnknownClass(f"no oracle for {kind!r}")
     if kind == "unlabeled_tournaments":
-        return 2 ** comb(n, 2)
-    raise UnknownClass(f"no oracle for {kind!r}")
+        kind, d = "tournaments", 1
+    return catalog.resolve_class(kind, d).value(n)
 
 
 def _enumerate(
@@ -115,9 +115,7 @@ def _enumerate(
     tally: Callable[[], tuple[Counter[int], int]],
 ) -> OracleResult:
     """Check n, d and the budget, then time ``tally() -> (counts, total)``."""
-    if n < 1:
-        raise RangeError(f"--n {n}: need n >= 1")
-    _check_d(d)
+    _check(n, d)
     if budget is not None:
         objects = object_count(kind, n, d)
         if objects > budget:

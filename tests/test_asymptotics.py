@@ -1,5 +1,6 @@
 """Expansion coefficients, leading terms, exact partial sums, kernel composition."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 
 from seqasym import catalog
 from seqasym.asymptotics import (
+    CONSTRUCTIONS,
     bender_compose,
     cyc_class,
     cyc_coefficients,
@@ -139,15 +141,20 @@ def test_cycle_part_counts_sum_to_class(tournaments1):
 
 
 def test_cycle_requires_labeled():
-    P = catalog.permutations(1)
-    with pytest.raises(RangeError):
-        evaluate_partial_sum(P, 1, 10, 1, construction="cyc")
-    with pytest.raises(RangeError):
-        cyc_coefficients(P, 2, 4)
-    with pytest.raises(RangeError):
-        cyc_part_count(P, 1, 4)
-    with pytest.raises(RangeError):
-        cyc_class(P)
+    for P in (catalog.permutations(1), catalog.custom([1, 1, 2, 5], "unlabeled", name="u")):
+        refusal = re.escape(
+            f"--construction cyc: defined for labeled classes only; {P.name} is unlabeled"
+        )
+        with pytest.raises(RangeError, match=refusal):
+            evaluate_partial_sum(P, 1, 10, 1, construction="cyc")
+        with pytest.raises(RangeError, match=refusal):
+            cyc_coefficients(P, 2, 4)
+        with pytest.raises(RangeError, match=refusal):
+            cyc_part_count(P, 1, 4)
+        with pytest.raises(RangeError, match=refusal):
+            cyc_class(P)
+    with pytest.raises(RangeError, match="^--m 0: m must be at least 1$"):
+        cyc_part_count(catalog.tournaments(1), 0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +164,63 @@ def test_cycle_requires_labeled():
 
 def test_set_coefficients_store_irreducible_counts():
     P = catalog.permutations(1)
-    table = set_via_seq_coefficients(P, 5)
+    table = set_via_seq_coefficients(P, 1, 5)
     assert [table.entries(k, 1) for k in range(6)] == [1, 1, 1, 3, 13, 71]
 
 
 def test_set_construction_is_unlabeled_only(tournaments1):
-    with pytest.raises(RangeError):
-        set_via_seq_coefficients(tournaments1, 4)
+    labeled = re.escape(
+        "--construction set: defined for unlabeled classes only; tournaments(d=1) is labeled"
+    )
+    with pytest.raises(RangeError, match=labeled):
+        set_via_seq_coefficients(tournaments1, 1, 4)
+    with pytest.raises(RangeError, match=labeled):
+        evaluate_partial_sum(tournaments1, 1, 20, 3, construction="set")
+    P = catalog.permutations(1)
+    with pytest.raises(RangeError, match="^--m 2: the set construction defines only"):
+        set_via_seq_coefficients(P, 2, 4)
+    with pytest.raises(RangeError, match="^--m 3: the set construction defines only"):
+        evaluate_partial_sum(P, 3, 20, 3, construction="set")
+
+
+def _refusal(construction, A, m):
+    """The start of the message a construction rule refuses with, or None."""
+    labeling = {"cyc": "labeled", "set": "unlabeled"}.get(construction, A.labeling)
+    if A.labeling != labeling:
+        return f"--construction {construction}:"
+    if construction == "set" and m != 1:
+        return f"--m {m}:"
+    return None
+
+
+BUILDERS = {"seq": seq_coefficients, "cyc": cyc_coefficients, "set": set_via_seq_coefficients}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("cls", ["tournaments", "permutations"])
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_construction_rules_refuse_by_argument(construction, cls, m):
+    """Each coefficient builder and evaluate_partial_sum either admit a
+    (construction, class, m) or refuse it naming --construction or --m."""
+    A = catalog.resolve_class(cls)
+    refusal = _refusal(construction, A, m)
+    calls = [
+        lambda: BUILDERS[construction](A, m, 4),
+        lambda: evaluate_partial_sum(A, m, 20, 3, construction=construction),
+    ]
+    for call in calls:
+        if refusal is None:
+            call()
+        else:
+            with pytest.raises(RangeError) as err:
+                call()
+            assert str(err.value).startswith(refusal)
+
+
+def test_unknown_construction_is_refused(tournaments1):
+    known = "^--construction mset: unknown construction; known: seq, cyc, set$"
+    with pytest.raises(RangeError, match=known):
+        evaluate_partial_sum(tournaments1, 1, 20, 3, construction="mset")
 
 
 def test_set_evaluation_subtracts_and_reports_no_exact():

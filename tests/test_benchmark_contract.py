@@ -12,9 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import seqasym.cli
 import seqasym.oracle
+from seqasym.asymptotics import CoefficientTable
 from seqasym.series import PowerSeries
 from seqasym.suites import ORACLE_GRID
 
@@ -45,6 +47,45 @@ def test_cli_binds_every_result_call(harness):
     worker, _ = harness
     missing = [n for n in worker.RESULT_CALLS if not callable(getattr(seqasym.cli, n, None))]
     assert missing == []
+
+
+@pytest.fixture
+def captured(harness):
+    """The harness's own result capture, installed on seqasym.cli; the
+    wrapped attributes are put back afterwards."""
+    worker, _ = harness
+    saved = {name: getattr(seqasym.cli, name) for name in worker.RESULT_CALLS}
+    try:
+        yield worker.capture_results(seqasym.cli)
+    finally:
+        for name, fn in saved.items():
+            setattr(seqasym.cli, name, fn)
+
+
+def _table(*args):
+    res = CliRunner().invoke(seqasym.cli.main, ["table", *args, "--format", "json"])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize(
+    "construction, cls, label",
+    [
+        ("seq", "tournaments", "seq"),
+        ("cyc", "tournaments", "cyc"),
+        ("set", "permutations", "set-via-seq"),
+    ],
+)
+def test_table_reaches_the_builder_through_cli_globals(captured, construction, cls, label):
+    """A builder bound before the capture is installed would record nothing."""
+    _table("--class", cls, "--kind", "coefficients", "--construction", construction,
+           "--m", "1", "--k", "0..4")
+    assert [(type(r), r.construction) for r in captured] == [(CoefficientTable, label)]
+
+
+def test_cycle_parts_capture_one_count_per_cell(captured):
+    _table("--class", "tournaments", "--construction", "cyc", "--kind", "parts",
+           "--m", "1..2", "--n", "1..3")
+    assert [type(r) for r in captured] == [int] * 6
 
 
 def test_power_series_defines_every_traced_method(harness):

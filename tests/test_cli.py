@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqasym.asymptotics import CONSTRUCTIONS
 from seqasym.catalog import CATALOG_FACTORIES
 from seqasym.cli import main, parse_range
 from seqasym.errors import RangeError
@@ -141,6 +142,47 @@ def test_table_custom_file_with_huge_count(runner, tmp_path):
     assert digits in res.stdout
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["table", "--n", "1..4"], ["expansion", "--n", "6", "--terms", "1"], ["audit", "--N", "10"]],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--class", "permutations"], "--class permutations: "),
+        (["--class", "permutations", "--d", "3"], "--class permutations: "),
+        (["--d", "3"], "--d 3: "),
+    ],
+    ids=["class", "class-and-d", "d"],
+)
+def test_custom_refuses_class_and_d(runner, tmp_path, command, extra, named):
+    """--custom names the whole class: a --class or --d beside it is refused."""
+    f = tmp_path / "ones.seq"
+    f.write_text("labeling: unlabeled\n" + "1\n" * 12)
+    res = invoke(runner, command[0], "--custom", str(f), *extra, *command[1:])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"RangeError: {named}"), res.stderr
+    assert res.stdout == ""
+    alone = invoke(runner, command[0], "--custom", str(f), "--d", "1", *command[1:])
+    assert alone.exit_code == 0, alone.stderr
+
+
+@pytest.mark.parametrize(
+    "kind, stray, named",
+    [
+        ("parts", ["--k", "0..3"], "--k 0..3: --kind parts takes --n"),
+        ("coefficients", ["--n", "0..3"], "--n 0..3: --kind coefficients takes --k"),
+    ],
+)
+def test_table_refuses_the_other_kinds_column_flag(runner, kind, stray, named):
+    res = invoke(runner, "table", "--class", "tournaments", "--kind", kind, "--m", "1..3",
+                 *stray, "--n" if kind == "parts" else "--k", "1..3")
+    assert res.exit_code == 2
+    assert res.stderr == f"RangeError: {named}\n"
+    assert res.stdout == ""
+
+
 def test_table_needs_some_class(runner):
     res = invoke(runner, "table")
     assert res.exit_code == 2
@@ -171,7 +213,7 @@ def test_expansion_rejects_m_ranges(runner):
 def test_expansion_rejects_zero_parts(runner):
     res = invoke(runner, "expansion", "--class", "tournaments", "--n", "10", "--m", "0")
     assert res.exit_code == 2
-    assert res.output.startswith("RangeError: --m must be at least 1")
+    assert res.output.startswith("RangeError: --m 0: m must be at least 1")
     assert "table bounds" not in res.output
 
 
@@ -182,11 +224,34 @@ def test_expansion_rejects_size_below_terms(runner):
     assert "indices start at 0" not in res.output
     res = invoke(runner, "expansion", "--class", "tournaments", "--n", "3", "--terms", "-1")
     assert res.exit_code == 2
-    assert res.output.startswith("RangeError: --terms must be nonnegative")
+    assert res.output.startswith("RangeError: --terms -1: terms must be nonnegative")
     # a 2-periodic labeled class steps the expansion index by its period
     res = invoke(runner, "expansion", "--class", "linear_matchings", "--n", "8", "--terms", "4")
     assert res.exit_code == 2
     assert "need --n >= 10" in res.output
+
+
+def _admitted(construction, cls, m):
+    """Whether the construction rules admit m parts of a class: seq any class,
+    cyc labeled classes, set unlabeled classes at m = 1."""
+    labeled = cls == "tournaments"
+    return {"seq": True, "cyc": labeled, "set": not labeled and m == 1}[construction]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("cls", ["tournaments", "permutations"])
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_construction_rules_set_the_exit_code(runner, construction, cls, m):
+    where = ["--class", cls, "--construction", construction, "--m", str(m)]
+    table = invoke(runner, "table", *where, "--kind", "coefficients", "--k", "0..4")
+    expansion = invoke(runner, "expansion", *where, "--n", "20", "--terms", "3")
+    for res in (table, expansion):
+        if _admitted(construction, cls, m):
+            assert res.exit_code == 0, res.stderr
+        else:
+            assert res.exit_code == 2
+            assert re.match(rf"RangeError: --(construction {construction}|m {m}):", res.stderr)
+            assert res.stdout == ""
 
 
 def test_cycle_expansion_rejects_size_off_the_period(runner, tmp_path):
@@ -560,7 +625,7 @@ def assert_known_exit(args):
     cls=st.sampled_from(CLASSES),
     d=D_VALUES,
     kind=st.sampled_from(["parts", "coefficients"]),
-    construction=st.sampled_from(["seq", "cyc", "set"]),
+    construction=st.sampled_from(CONSTRUCTIONS),
     m=st.one_of(spans(1, 4), spans(-1, 4)),
     columns=spans(-2, 30),
     fmt=st.sampled_from(FORMAT_NAMES),
@@ -577,7 +642,7 @@ def test_table_arguments_end_in_a_known_exit_code(cls, d, kind, construction, m,
 @given(
     cls=st.sampled_from(CLASSES),
     d=D_VALUES,
-    construction=st.sampled_from(["seq", "cyc", "set"]),
+    construction=st.sampled_from(CONSTRUCTIONS),
     m=st.one_of(st.integers(min_value=1, max_value=4).map(str), spans(-1, 4)),
     n=st.one_of(st.integers(min_value=12, max_value=30), st.integers(min_value=-2, max_value=30)),
     terms=st.integers(min_value=-1, max_value=5),

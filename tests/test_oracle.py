@@ -23,6 +23,7 @@ from seqasym import catalog, oracle
 from seqasym.decomposition import parts_table
 from seqasym.errors import BudgetExceeded, RangeError, UnknownClass
 from seqasym.oracle import (
+    ORACLE_KINDS,
     _common_breakpoints,
     _landau_parts,
     _matching_masks,
@@ -363,6 +364,13 @@ def test_object_counts():
 def test_object_count_refuses_d_below_one(kind, n, d):
     with pytest.raises(RangeError, match=f"^--d {d}: need d >= 1$"):
         object_count(kind, n, d)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("n", [0, -1])
+def test_object_count_refuses_n_below_one(kind, n):
+    with pytest.raises(RangeError, match=f"^--n {n}: need n >= 1$"):
+        object_count(kind, n)
 
 
 def test_budget_refuses_oversized_runs():
