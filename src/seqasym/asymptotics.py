@@ -319,7 +319,7 @@ def evaluate_partial_sum(
     if n < p * (r + 1):
         raise RangeError(f"--n {n} is too small for --terms {r}: need --n >= {p * (r + 1)}")
     if A.period > 1 and A.labeling == "labeled" and n % A.period:
-        raise RangeError(f"size {n} is not a multiple of the period {A.period}")
+        raise RangeError(f"--n {n}: size {n} is not a multiple of the period {A.period}")
     shapes_class = A
     note = ""
     if construction == "seq":

@@ -30,9 +30,12 @@ lifting machinery can be exercised against it.  ``linear_matchings`` is the
 decomposable lift carrying the same combinatorics.
 
 Unlabeled tournament counts use the classical cycle-index summation over
-partitions of n into odd parts.  ``unlabeled_tournaments()`` computes
-a_0..a_N in one integer pass over the odd partitions of every size <= N;
-the per-n Fraction formula ``unlabeled_tournament_count`` is kept only as its
+partitions of n into odd parts (Davis 1953; Moon, *Topics on Tournaments*,
+1968).  ``unlabeled_tournaments()`` computes a_0..a_N in one integer pass
+over the odd cycle lengths, largest first, which merges the partial
+partitions that share a size and, for each odd d, the number of cycles
+whose length d divides; those decide every later exponent.  The per-n
+Fraction formula ``unlabeled_tournament_count`` is kept only as its
 independent check.  Because the formula is imported knowledge, the
 test-suite also validates it against an exhaustive isomorphism-class
 enumeration for n <= 6 before anything downstream may trust it.
@@ -218,39 +221,57 @@ def constant_ones() -> CountingSequence:
 
 
 def _unlabeled_tournament_counts(n_max: int) -> list[int]:
-    """Unlabeled tournament counts a_0..a_{n_max}, in one integer pass.
+    """Unlabeled tournament counts a_0..a_{n_max}, in one merged-state pass.
 
-    Every node of the tree of odd partitions (parts chosen in decreasing
-    order) is a partition λ of some size s <= n_max.  It carries q(λ) and
-    the weight n_max!/z_λ, and adds (n_max!/z_λ)·2^q(λ) into total[s];
-    each a_s is then total[s]/n_max!, an exact division.  One more cycle of
-    length l, the a-th of that length, divides the weight by l·a and adds
-    (l−1)/2 + (a−1)·l + Σ_p a_p·gcd(l, p) edge orbits, the sum running
-    over the cycles chosen before (see ``unlabeled_tournament_count``).
+    The sum of ``unlabeled_tournament_count`` runs over the odd partitions λ
+    of every size s <= n_max.  Their parts are chosen one odd length l at a
+    time, from the largest l <= n_max down to 1, each m >= 0 times.  Taking m cycles of length l
+    divides the weight n_max!/z_λ by l^m·m! and adds
+    m·(l−1)/2 + C(m,2)·l + m·Σ_p gcd(l, p) edge orbits, p running over the
+    cycles chosen before.  As gcd(l, p) = Σ_{d | gcd(l, p)} φ(d), that last
+    sum is Σ_{d|l} φ(d)·c_d, where c_d counts the earlier cycles whose
+    length d divides.  So every prefix with the same size and the same c_d
+    (odd d < l) gains the same exponents from then on: one state, keyed by
+    them, holds the sum of (n_max!/z)·2^q over those prefixes.  The division
+    by l·m stays exact term by term, as z of a partition of size <= n_max
+    divides n_max!.  Each a_s is the sum of the states of size s divided by
+    n_max!, an exact division.
+
+    >>> _unlabeled_tournament_counts(7)
+    [1, 1, 1, 2, 4, 12, 56, 456]
     """
     scale = factorial(n_max)
-    total = [0] * (n_max + 1)
-    chosen: list[tuple[int, int]] = []  # (cycle length, multiplicity)
-
-    def grow(size: int, top: int, w: int, q: int) -> None:
-        total[size] += w << q
-        for part in range(top - 1 + top % 2, 0, -2):
-            step = (part - 1) // 2 + sum(a * gcd(part, p) for p, a in chosen)
-            s, x, e, a = size, w, q, 0
-            while s + part <= n_max:
-                a += 1
-                s += part
-                x //= part * a
+    top = n_max - 1 + n_max % 2  # the largest odd length <= n_max
+    # entering the level of length l, c holds c_l, c_{l-2}, ..., c_1
+    states = {(0, (0,) * ((top + 1) // 2)): scale}
+    for l in range(top, 0, -2):
+        # (offset of c_d in c, φ(d)) for the divisors d of l, d = l first
+        divisors = [
+            ((l - d) // 2, sum(gcd(k, d) == 1 for k in range(1, d + 1)))
+            for d in range(l, 0, -2)
+            if l % d == 0
+        ]
+        merged: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (size, c), w in states.items():
+            tail = c[1:]  # c_l is read for the last time at this level
+            merged[size, tail] = merged.get((size, tail), 0) + w
+            step = (l - 1) // 2 + sum(phi * c[i] for i, phi in divisors)
+            s, x, e, m = size, w, 0, 0
+            while s + l <= n_max:
+                m += 1
+                s += l
+                x //= l * m
                 e += step
-                step += part
-                if part == 1:  # no smaller odd part: the node is a leaf
-                    total[s] += x << e
-                else:
-                    chosen.append((part, a))
-                    grow(s, min(part - 2, n_max - s), x, e)
-                    chosen.pop()
-
-    grow(0, n_max, scale, 0)
+                step += l
+                grown = list(tail)
+                for i, _ in divisors[1:]:
+                    grown[i - 1] += m
+                key = (s, tuple(grown))
+                merged[key] = merged.get(key, 0) + (x << e)
+        states = merged
+    total = [0] * (n_max + 1)
+    for (size, _), w in states.items():
+        total[size] += w
     out = []
     for t in total:
         count, rest = divmod(t, scale)

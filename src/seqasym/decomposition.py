@@ -38,6 +38,14 @@ tournaments Horner gains little: a_{n-k} is a power of two there, so the
 plain product was a shift too, and each size n still adds and shifts n
 numbers of about n²/2 bits, Θ(n³) bit operations either way.
 
+Horner takes n-1 steps at every size n, however few y_k are nonzero.  So
+at a size n where at most n/8 of the x_1..x_{n-1} already computed are
+nonzero, the sum runs over those terms alone.  Linear orders (d=1) and the
+constant-1 class take that branch from n = 8 on (b = z there, one term);
+tournaments, permutations and matchings have at most one x_k = 0 and keep
+Horner.  On factorial-sized values the two cost the same near n/4 nonzero
+terms, so n/8 leaves Horner the dense side with room to spare.
+
 Row m+1 of a parts table is the convolution of row m with b.  A single entry
 needs only rows 0..m-1: :func:`part_count` returns
 
@@ -124,8 +132,9 @@ def first_part_counts(
     """x_0 = 0 and x_n = a_n - sum_{k=1}^{n-1} w(n,k) x_k a_{n-k} for n >= 1.
 
     ``weight`` is w(n, k), or None for w = 1.  The sum is accumulated in
-    Horner form when the ratios of ``a`` are integers (see the module
-    docstring), and by the plain loop otherwise; both give the same values.
+    Horner form when the ratios of ``a`` are integers, except at sizes with
+    few nonzero x_k, which sum those terms alone (see the module docstring),
+    and by the plain loop otherwise; all give the same values.
     """
     ratio = [0, 0]  # ratio[j] = a_j / a_{j-1} for j >= 2
     for j in range(2, len(a)):
@@ -136,15 +145,24 @@ def first_part_counts(
     # log2 r_j where r_j is a power of two, else None
     shift = [q.bit_length() - 1 if q > 0 and not q & (q - 1) else None for q in ratio]
     x = [0] * len(a)
+    nonzero: list[int] = []  # the k < n with x_k != 0
     for n in range(1, len(a)):
-        t = 0  # ends as sum_k y_k a_{n-k} / a_1, with y_k = w(n,k) x_k
-        for k in range(1, n):
-            j = n - k + 1
-            s = shift[j]
-            t = t * ratio[j] if s is None else t << s
-            if x[k]:
-                t += weight(n, k) * x[k] if weight else x[k]
-        x[n] = a[n] - a[1] * t
+        if 8 * len(nonzero) <= n:  # few terms: n - 1 Horner steps would cost more
+            acc = a[n]
+            for k in nonzero:
+                acc -= (weight(n, k) * x[k] if weight else x[k]) * a[n - k]
+            x[n] = acc
+        else:
+            t = 0  # ends as sum_k y_k a_{n-k} / a_1, with y_k = w(n,k) x_k
+            for k in range(1, n):
+                j = n - k + 1
+                s = shift[j]
+                t = t * ratio[j] if s is None else t << s
+                if x[k]:
+                    t += weight(n, k) * x[k] if weight else x[k]
+            x[n] = a[n] - a[1] * t
+        if x[n]:
+            nonzero.append(n)
     return x
 
 

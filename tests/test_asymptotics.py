@@ -329,16 +329,16 @@ def test_periodic_expansion_steps_by_period():
     assert [t.k for t in ev.terms] == [0, 2, 4]
     assert ev.terms[1].coefficient == 4
     assert ev.terms[1].value == Fraction(2, 23)
-    with pytest.raises(RangeError, match="^size 23 is not a multiple of the period 2$"):
+    with pytest.raises(RangeError, match="^--n 23: size 23 is not a multiple of the period 2$"):
         evaluate_partial_sum(LM, 2, 23, 2)
 
 
 def test_cycle_expansion_rejects_size_off_the_period():
     LM = catalog.linear_matchings()
-    with pytest.raises(RangeError, match="^size 31 is not a multiple of the period 2$"):
+    with pytest.raises(RangeError, match="^--n 31: size 31 is not a multiple of the period 2$"):
         evaluate_partial_sum(LM, 1, 31, 3, "cyc")
     pairs = catalog.custom([1, 0, 1, 0, 3, 0, 15], "labeled", period=2)
-    with pytest.raises(RangeError, match="^size 3 is not a multiple of the period 2$"):
+    with pytest.raises(RangeError, match="^--n 3: size 3 is not a multiple of the period 2$"):
         evaluate_partial_sum(pairs, 1, 3, 1, "cyc")
     assert evaluate_partial_sum(LM, 1, 30, 3, "cyc").n == 30
 

@@ -1,6 +1,7 @@
 """Catalog counting sequences: closed forms, Burnside counts, custom classes."""
 
 from itertools import permutations
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,54 @@ def test_unlabeled_tournament_batch_matches_oeis():
 def test_unlabeled_tournament_batch_matches_per_n_formula():
     got = catalog.unlabeled_tournaments().values(30)
     assert got == [catalog.unlabeled_tournament_count(n) for n in range(31)]
+
+
+def _odd_partition_walk(n_max):
+    """Unlabeled tournament counts by one tree node per odd partition: the
+    reference for the merged-state filler.
+
+    Parts are chosen in decreasing order.  A node carries q(λ) and the
+    weight n_max!/z_λ, and adds (n_max!/z_λ)·2^q(λ) into total[s].  One more
+    cycle of length l, the a-th of that length, divides the weight by l·a
+    and adds (l−1)/2 + (a−1)·l + Σ_p a_p·gcd(l, p) edge orbits, the sum
+    running over the cycles chosen before.
+    """
+    scale = factorial(n_max)
+    total = [0] * (n_max + 1)
+    chosen = []  # (cycle length, multiplicity)
+
+    def grow(size, top, w, q):
+        total[size] += w << q
+        for part in range(top - 1 + top % 2, 0, -2):
+            step = (part - 1) // 2 + sum(a * gcd(part, p) for p, a in chosen)
+            s, x, e, a = size, w, q, 0
+            while s + part <= n_max:
+                a += 1
+                s += part
+                x //= part * a
+                e += step
+                step += part
+                if part == 1:  # no smaller odd part: the node is a leaf
+                    total[s] += x << e
+                else:
+                    chosen.append((part, a))
+                    grow(s, min(part - 2, n_max - s), x, e)
+                    chosen.pop()
+
+    grow(0, n_max, scale, 0)
+    assert all(t % scale == 0 for t in total)
+    return [t // scale for t in total]
+
+
+@pytest.mark.parametrize("n_max", [*range(13), 60])
+def test_unlabeled_filler_matches_the_partition_walk(n_max):
+    assert catalog._unlabeled_tournament_counts(n_max) == _odd_partition_walk(n_max)
+
+
+def test_unlabeled_filler_matches_per_n_formula_past_40():
+    got = catalog.unlabeled_tournaments().values(60)
+    for n in (41, 50, 60):
+        assert catalog.unlabeled_tournament_count(n) == got[n]
 
 
 @pytest.mark.parametrize(

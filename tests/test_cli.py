@@ -261,8 +261,10 @@ def test_cycle_expansion_rejects_size_off_the_period(runner, tmp_path):
         res = invoke(runner, "expansion", *where, "--construction", "cyc", "--m", "1",
                      "--terms", "1")
         assert res.exit_code == 2
-        assert res.stderr.startswith("RangeError: size")
-        assert "is not a multiple of the period 2" in res.stderr
+        n = where[-1]
+        assert res.stderr.startswith(
+            f"RangeError: --n {n}: size {n} is not a multiple of the period 2"
+        )
         assert "Traceback" not in res.output
 
 

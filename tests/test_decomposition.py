@@ -135,12 +135,17 @@ _RATIO = st.one_of(
 @given(
     st.lists(_RATIO, min_size=1, max_size=16),
     st.booleans(),
+    st.booleans(),
     st.sampled_from(["labeled", "unlabeled"]),
 )
 @settings(max_examples=80, deadline=None)
-def test_horner_matches_plain_loop_and_series(ratios, trailing_zero, labeling):
+def test_horner_matches_plain_loop_and_series(ratios, geometric, trailing_zero, labeling):
     """Integer ratios a_j/a_{j-1} (ones, powers of two, other integers), with
-    an optional trailing zero: the Horner form gives the reference values."""
+    an optional trailing zero: the Horner form gives the reference values.
+    A geometric draw (a_n = r^n, or n!·r^n when labeled) has b = r·z, so
+    sizes 2..7 take Horner and sizes 8..16 sum their one nonzero term."""
+    if geometric:
+        ratios = [ratios[0] * (j if labeling == "labeled" else 1) for j in range(1, 17)]
     a = [1]
     for r in ratios:
         a.append(a[-1] * r)
@@ -151,6 +156,8 @@ def test_horner_matches_plain_loop_and_series(ratios, trailing_zero, labeling):
     b = irreducible_counts(A, n)
     assert b == _first_part_plain(a, comb if labeling == "labeled" else None)
     assert b == list(series_to_counting(irreducible_series(A, n), labeling))
+    if geometric:
+        assert b[:17] == [0, ratios[0]] + [0] * 15
 
 
 @pytest.mark.parametrize("A", catalog.catalog_classes(3), ids=lambda A: A.name)
