@@ -22,29 +22,31 @@ The irreducible counts come from splitting off the first part of each object,
     b_n = a_n - sum_{k=1}^{n-1} C(n,k) b_k a_{n-k}.
 
 :func:`first_part_counts` evaluates this sum, and the cycle-class recurrence
-with weight C(n-1,k-1), in Horner form when every ratio r_j = a_j/a_{j-1}
-(j >= 2) is an integer with a_{j-1} > 0: then a_{n-k} = a_1 r_2 ... r_{n-k},
-so with y_k = C(n,k) b_k
+with weight C(n-1,k-1), by one of two paths.
+
+Horner, when every ratio r_j = a_j/a_{j-1} (j >= 2) is an integer with
+a_{j-1} > 0: then a_{n-k} = a_1 r_2 ... r_{n-k}, so with y_k = C(n,k) b_k
 
     T <- T·r_{n-k+1} + y_k   for k = 1..n-1,      b_n = a_n - a_1·T,
 
 and each big-by-big product C(n,k) b_k a_{n-k} becomes a product of T with
 the small ratio (a left shift where r_j is a power of two).  The test is made
 on the values and names no class: it holds for tournaments, linear orders,
-permutations, matchings and the constant-1 class.  Every other input
-(periodic classes, unlabeled tournaments, most custom files) takes the plain
-loop over k, which stays the reference the tests compare against.  On
-tournaments Horner gains little: a_{n-k} is a power of two there, so the
-plain product was a shift too, and each size n still adds and shifts n
-numbers of about n²/2 bits, Θ(n³) bit operations either way.
+permutations, matchings and the constant-1 class.  On tournaments Horner
+gains little: a_{n-k} is a power of two there, so the direct product was a
+shift too, and each size n still adds and shifts n numbers of about n²/2
+bits, Θ(n³) bit operations either way.
 
-Horner takes n-1 steps at every size n, however few y_k are nonzero.  So
-at a size n where at most n/8 of the x_1..x_{n-1} already computed are
-nonzero, the sum runs over those terms alone.  Linear orders (d=1) and the
-constant-1 class take that branch from n = 8 on (b = z there, one term);
-tournaments, permutations and matchings have at most one x_k = 0 and keep
-Horner.  On factorial-sized values the two cost the same near n/4 nonzero
-terms, so n/8 leaves Horner the dense side with room to spare.
+The direct sum over the nonzero x_k, everywhere else: for inputs whose
+ratios are not all integers (periodic classes, unlabeled tournaments, most
+custom files), and at sizes n where at most n/8 of the x_1..x_{n-1} already
+computed are nonzero, since Horner takes n-1 steps however few y_k are
+nonzero.  Linear orders (d=1) and the constant-1 class take it from n = 8 on
+(b = z there, one term); tournaments, permutations and matchings have at
+most one x_k = 0 and keep Horner.  On factorial-sized values the two cost the
+same near n/4 nonzero terms, so n/8 leaves Horner the dense side with room
+to spare.  The term-by-term loop over every k, the reference both paths are
+checked against, lives in the tests.
 
 Row m+1 of a parts table is the convolution of row m with b.  A single entry
 needs only rows 0..m-1: :func:`part_count` returns
@@ -60,10 +62,11 @@ rows is nonnegative, so one scan of b is the whole check: every later row is
 nonnegative once b is, and the first negative entry of any table lies in
 row 1.
 
-Two independent computations cross-check the integer route: the ``Fraction``
-series inversion B = 1 - 1/A (:func:`irreducible_series`), and the halving
-form, which only convolves over parts of size <= n/2 by exploiting the fact
-that at most one part can be larger than n/2:
+Two independent computations cross-check the integer route, as a chain:
+the ``Fraction`` series inversion B = 1 - 1/A (:func:`irreducible_series`)
+against the recurrence, and the recurrence against the halving form, which
+only convolves over parts of size <= n/2 by exploiting the fact that at most
+one part can be larger than n/2:
 
       b_n = a_n - 2 sum_{k<=n/2} C(n,k) b_k a_{n-k}
                 + sum_{p,q<=n/2} n!/(p! q! (n-p-q)!) b_p b_q a_{n-p-q}.
@@ -73,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .catalog import CountingSequence
 from .errors import BadConstantTerm, NegativeIrreducibleCount, PeriodMismatch, RangeError
@@ -132,26 +135,24 @@ def first_part_counts(
     """x_0 = 0 and x_n = a_n - sum_{k=1}^{n-1} w(n,k) x_k a_{n-k} for n >= 1.
 
     ``weight`` is w(n, k), or None for w = 1.  The sum is accumulated in
-    Horner form when the ratios of ``a`` are integers, except at sizes with
-    few nonzero x_k, which sum those terms alone (see the module docstring),
-    and by the plain loop otherwise; all give the same values.
+    Horner form at the dense sizes of an input whose ratios are integers, and
+    taken directly over the nonzero x_k everywhere else (see the module
+    docstring); both give the same values.
     """
-    ratio = [0, 0]  # ratio[j] = a_j / a_{j-1} for j >= 2
+    ratio: list[int] | None = [0, 0]  # ratio[j] = a_j / a_{j-1} for j >= 2
     for j in range(2, len(a)):
         q, rest = divmod(a[j], a[j - 1]) if a[j - 1] > 0 else (0, 1)
         if rest:
-            return _first_part_plain(a, weight)
+            ratio = None
+            break
         ratio.append(q)
     # log2 r_j where r_j is a power of two, else None
-    shift = [q.bit_length() - 1 if q > 0 and not q & (q - 1) else None for q in ratio]
+    shift = [q.bit_length() - 1 if q > 0 and not q & (q - 1) else None for q in ratio or ()]
     x = [0] * len(a)
     nonzero: list[int] = []  # the k < n with x_k != 0
     for n in range(1, len(a)):
-        if 8 * len(nonzero) <= n:  # few terms: n - 1 Horner steps would cost more
-            acc = a[n]
-            for k in nonzero:
-                acc -= (weight(n, k) * x[k] if weight else x[k]) * a[n - k]
-            x[n] = acc
+        if ratio is None or 8 * len(nonzero) <= n:  # no Horner form, or n - 1 steps would cost more
+            x[n] = a[n] - _dot(x, a, n, weight, nonzero)
         else:
             t = 0  # ends as sum_k y_k a_{n-k} / a_1, with y_k = w(n,k) x_k
             for k in range(1, n):
@@ -166,16 +167,17 @@ def first_part_counts(
     return x
 
 
-def _first_part_plain(a: Sequence[int], weight: Callable[[int, int], int] | None) -> list[int]:
-    """The recurrence of :func:`first_part_counts` term by term: the reference."""
-    x = [0] * len(a)
-    for n in range(1, len(a)):
-        acc = a[n]
-        for k in range(1, n):
-            if x[k] and a[n - k]:
-                acc -= (weight(n, k) * x[k] if weight else x[k]) * a[n - k]
-        x[n] = acc
-    return x
+def _dot(
+    f: Sequence[int],
+    g: Sequence[int],
+    n: int,
+    weight: Callable[[int, int], int] | None,
+    ks: Iterable[int],
+) -> int:
+    """sum_{k in ks} w(n,k) f_k g_{n-k}, with w = 1 when ``weight`` is None."""
+    if weight is None:
+        return sum(f[k] * g[n - k] for k in ks)
+    return sum(weight(n, k) * f[k] * g[n - k] for k in ks)
 
 
 def _require_decomposable(A: CountingSequence, b: Sequence[int]) -> None:
@@ -265,11 +267,8 @@ def part_count(A: CountingSequence, m: int, n: int) -> int:
     row = [1] + [0] * n
     for _ in range(m - 1):
         row = convolve(row, b, labeled)
-    return sum(
-        (comb(n, k) * row[k] if labeled else row[k]) * b[n - k]
-        for k in range(n + 1)
-        if row[k] and b[n - k]
-    )
+    ks = [k for k in range(n + 1) if row[k] and b[n - k]]
+    return _dot(row, b, n, comb if labeled else None, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +294,20 @@ def verify_simple_recurrence(
 def verify_halving_identity(
     A: CountingSequence, n_max: int
 ) -> tuple[tuple[int, int, int], ...]:
-    """Compare series inversion against the half-size convolution identity.
+    """Compare the first-part recurrence against the half-size convolution identity.
 
     Labeled classes only; the identity never convolves over parts larger than
     n/2, which is what makes it a genuinely different computation.  It runs
     as a recurrence on its own earlier values, so it shares no intermediate
-    result with the series inversion it is compared against.  Returns the
-    mismatches (n, via_series, via_identity), n = 1..n_max; empty when the
-    two computations agree.
+    result with :func:`irreducible_counts`, the values it is compared
+    against; those are in turn checked against the series inversion by
+    :func:`verify_simple_recurrence`.  Returns the mismatches
+    (n, via_recurrence, via_identity), n = 1..n_max; empty when the two
+    computations agree.
     """
     if A.labeling != "labeled":
         raise RangeError("the halving identity is stated for labeled classes")
-    via_series = series_to_counting(irreducible_series(A, n_max), A.labeling)
+    via_recurrence = irreducible_counts(A, n_max)
     a = A.values(n_max)
     b = [0] * (n_max + 1)
     mismatches = []
@@ -321,8 +322,8 @@ def verify_halving_identity(
                     mult = factorial(n) // (factorial(p) * factorial(q) * factorial(n - p - q))
                     acc += mult * b[p] * b[q] * a[n - p - q]
         b[n] = acc
-        if acc != via_series[n]:
-            mismatches.append((n, via_series[n], acc))
+        if acc != via_recurrence[n]:
+            mismatches.append((n, via_recurrence[n], acc))
     return tuple(mismatches)
 
 

@@ -30,9 +30,10 @@ in pair by pair, and a vertex's score joins a histogram once the vertex has
 played its last pair, so the keys merge to score histograms.  Breakpoint
 masks are tallied by one walk over prefix sets that expands each set once.
 One helper checks the arguments and the budget (in objects, not walk
-states), times the tally and builds the result for every kind.  Tests run
-Tarjan, the per-object mask walks and per-object relabeling on every object
-at small sizes to check them.
+states; a size whose lower bound 2^(n-1) already exceeds the budget is
+refused without counting), times the tally and builds the result for every
+kind.  Tests run Tarjan, the per-object mask walks and per-object
+relabeling on every object at small sizes to check them.
 """
 
 from __future__ import annotations
@@ -114,9 +115,18 @@ def _enumerate(
     budget: int | None,
     tally: Callable[[], tuple[Counter[int], int]],
 ) -> OracleResult:
-    """Check n, d and the budget, then time ``tally() -> (counts, total)``."""
+    """Check n, d and the budget, then time ``tally() -> (counts, total)``.
+
+    Every kind has at least 2^(n-1) objects, so a size past the budget's bit
+    length is refused before its exact count, which at n in the thousands
+    has millions of digits, is formed or printed.
+    """
     _check(n, d)
     if budget is not None:
+        if n - 1 >= budget.bit_length():
+            raise BudgetExceeded(
+                f"{kind} n={n} d={d}: at least 2^{n - 1} objects exceed budget {budget}"
+            )
         objects = object_count(kind, n, d)
         if objects > budget:
             raise BudgetExceeded(f"{kind} n={n} d={d}: {objects} objects exceed budget {budget}")

@@ -171,7 +171,7 @@ def suite_sumrule() -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# recurrences: series inversion vs direct convolution recurrences
+# recurrences: series inversion vs the first-part recurrence vs the halving identity
 # ---------------------------------------------------------------------------
 
 _RECURRENCE_N_MAX = 24
@@ -180,15 +180,16 @@ _RECURRENCE_N_MAX = 24
 def suite_recurrences() -> list[Check]:
     checks = []
     for A in catalog.catalog_classes():
-        routes = [("first-part-recurrence", "recurrence", verify_simple_recurrence)]
+        # (check prefix, reference label, route label, check): each route against its reference
+        routes = [("first-part-recurrence", "series", "recurrence", verify_simple_recurrence)]
         if A.labeling == "labeled":
-            routes.append(("halving-identity", "identity", verify_halving_identity))
-        for prefix, label, verify in routes:
+            routes.append(("halving-identity", "recurrence", "identity", verify_halving_identity))
+        for prefix, reference, label, verify in routes:
             name = f"{prefix}-{A.name}"
             mismatches = verify(A, _RECURRENCE_N_MAX)
             if mismatches:
-                n, via_series, via_route = mismatches[0]
-                detail = f"n={n} series={via_series} {label}={via_route}"
+                n, via_reference, via_route = mismatches[0]
+                detail = f"n={n} {reference}={via_reference} {label}={via_route}"
                 checks.append(Check(name, "fail", detail))
             else:
                 checks.append(Check(name, "ok", f"n <= {_RECURRENCE_N_MAX}"))

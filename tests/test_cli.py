@@ -504,6 +504,15 @@ def test_oracle_default_budget_counts_permutations_not_walk_states(runner):
     assert "3628800 objects exceed budget 3000000" in res.output
 
 
+def test_oracle_refuses_a_huge_size_without_printing_its_count(runner):
+    """(d+1)^C(n,2) at n = 4000 has about 2.4 million digits; the refusal
+    names the lower bound 2^(n-1) and the budget instead."""
+    res = invoke(runner, "oracle", "--class", "tournaments", "--n", "4000")
+    assert res.exit_code == 3
+    assert len(res.stderr) < 300
+    assert "at least 2^3999 objects exceed budget 3000000" in res.stderr
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(ORACLE_KINDS),

@@ -1,14 +1,19 @@
-"""Part-count tables: inversion, recurrences, periodic reindexing, the lift."""
+"""Part-count tables: inversion, recurrences, periodic reindexing, the lift.
 
+The term-by-term first-part loop lives here only: it is the reference both
+paths of ``first_part_counts`` (Horner and the direct sum) are checked
+against."""
+
+import re
 from math import comb, factorial
+from typing import Callable, Sequence
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seqasym import catalog
+from seqasym import catalog, decomposition
 from seqasym.decomposition import (
-    _first_part_plain,
     convolve,
     first_part_counts,
     irreducible_counts,
@@ -23,6 +28,19 @@ from seqasym.decomposition import (
 from seqasym.errors import NegativeIrreducibleCount, PeriodMismatch, RangeError
 from seqasym.reference_tables import REFERENCE_TABLES
 from seqasym.series import PowerSeries, counting_to_series, series_to_counting
+from seqasym.suites import run_suite
+
+
+def _first_part_plain(a: Sequence[int], weight: Callable[[int, int], int] | None) -> list[int]:
+    """The recurrence of :func:`first_part_counts` term by term: the reference."""
+    x = [0] * len(a)
+    for n in range(1, len(a)):
+        acc = a[n]
+        for k in range(1, n):
+            if x[k] and a[n - k]:
+                acc -= (weight(n, k) * x[k] if weight else x[k]) * a[n - k]
+        x[n] = acc
+    return x
 
 
 def test_convolve_weights():
@@ -118,11 +136,15 @@ _OTHER = st.integers(min_value=0, max_value=10**12).filter(lambda v: not v or v 
 @settings(max_examples=80, deadline=None)
 def test_shifted_recurrence_on_mixed_values(tail, labeling):
     """Powers of two mixed with other values and zeros: ratios that are
-    mostly not integers, so the plain loop runs."""
+    mostly not integers, so the direct sum runs at every size."""
     assume(any(v and not v & (v - 1) for v in tail) and any(v & (v - 1) for v in tail))
     A = catalog.custom([1] + tail, labeling, name="mixed")
     rep = verify_simple_recurrence(A, len(tail))
     assert not rep, rep[:3]
+    a = [1] + tail
+    assert irreducible_counts(A, len(tail)) == _first_part_plain(
+        a, comb if labeling == "labeled" else None
+    )
 
 
 _RATIO = st.one_of(
@@ -185,6 +207,41 @@ def test_first_part_recurrence_all_catalog(A):
 def test_halving_identity_labeled_catalog(A):
     rep = verify_halving_identity(A, 18)
     assert not rep, rep[:3]
+
+
+@pytest.mark.parametrize("bad_n", [1, 7, 18])
+def test_both_recurrence_checks_catch_a_corrupted_count(monkeypatch, tournaments1, bad_n):
+    """One wrong b_n from the integer core shows in both links of the chain:
+    against the series inversion, and against the halving identity."""
+    honest = decomposition.irreducible_counts
+
+    def corrupted(A, n_max):
+        b = honest(A, n_max)
+        b[bad_n] += 1
+        return b
+
+    monkeypatch.setattr(decomposition, "irreducible_counts", corrupted)
+    good = honest(tournaments1, 18)[bad_n]
+    assert verify_simple_recurrence(tournaments1, 18) == ((bad_n, good, good + 1),)
+    assert verify_halving_identity(tournaments1, 18) == ((bad_n, good + 1, good),)
+
+
+def test_recurrences_suite_names_each_reference(monkeypatch):
+    honest = decomposition.irreducible_counts
+
+    def corrupted(A, n_max):
+        b = honest(A, n_max)
+        b[5] += 1
+        return b
+
+    monkeypatch.setattr(decomposition, "irreducible_counts", corrupted)
+    checks = run_suite("recurrences")
+    assert checks and all(c.status == "fail" for c in checks)
+    for c in checks:
+        if c.name.startswith("first-part-recurrence-"):
+            assert re.fullmatch(r"n=5 series=\d+ recurrence=\d+", c.detail), c
+        else:
+            assert re.fullmatch(r"n=5 recurrence=\d+ identity=\d+", c.detail), c
 
 
 def test_halving_identity_rejects_unlabeled():

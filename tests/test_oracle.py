@@ -373,6 +373,22 @@ def test_object_count_refuses_n_below_one(kind, n):
         object_count(kind, n)
 
 
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_object_count_is_at_least_two_to_the_n_minus_one(kind):
+    """The lower bound the budget check refuses by before counting."""
+    for n in range(1, 13):
+        for d in range(1, 4):
+            assert object_count(kind, n, d) >= 2 ** (n - 1), (n, d)
+
+
+def test_budget_refusal_past_the_lower_bound_counts_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "object_count", lambda *args: calls.append(args))
+    with pytest.raises(BudgetExceeded, match=r"at least 2\^999999 objects exceed budget 10$"):
+        enumerate_tournament_parts(10**6, budget=10)
+    assert calls == []
+
+
 def test_budget_refuses_oversized_runs():
     with pytest.raises(BudgetExceeded):
         enumerate_tournament_parts(6, budget=1000)
