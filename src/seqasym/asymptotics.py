@@ -391,13 +391,13 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
 
         c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k},
 
-    the first-part recurrence with weight C(n-1, k-1): c_1..c_N come from one
-    :func:`first_part_counts` pass over a_0..a_N.
+    the first-part recurrence with weight C(n-1, k-1), offset 1: c_1..c_N come
+    from one :func:`first_part_counts` pass over a_0..a_N.
     """
     _admit(A_seq, "cyc")
 
     def fill(n: int) -> list[int]:
-        c = first_part_counts(A_seq.values(n), _rooted_weight)
+        c = first_part_counts(A_seq.values(n), 1)
         c[0] = 1
         return c
 
@@ -407,10 +407,6 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
         period=1,
         _fill=fill,
     )
-
-
-def _rooted_weight(n: int, k: int) -> int:
-    return comb(n - 1, k - 1)
 
 
 def cyc_part_count(A_seq: CountingSequence, m: int, n: int) -> int:

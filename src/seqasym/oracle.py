@@ -349,17 +349,12 @@ def _relabel_columns(n: int) -> tuple[list[int], list[list[int]]]:
     ``columns[src][p]`` (the bit src lands on) for each set bit src.
     """
     pairs, pos = _pair_table(n)
-    flips = []
-    columns: list[list[int]] = [[] for _ in pairs]
-    for perm in itertools.permutations(range(n)):
-        flip = 0
-        for column, (i, j) in zip(columns, pairs):
-            a, b = perm[i], perm[j]
-            bit = 1 << pos[(min(a, b), max(a, b))]
-            column.append(bit)
-            if a > b:
-                flip |= bit
-        flips.append(flip)
+    bit = [[0] * n for _ in range(n)]  # bit[a][b]: the bit of pair {a, b}
+    for (a, b), idx in pos.items():
+        bit[a][b] = bit[b][a] = 1 << idx
+    perms = list(itertools.permutations(range(n)))
+    columns = [[bit[p[i]][p[j]] for p in perms] for i, j in pairs]
+    flips = [sum(bit[p[i]][p[j]] for i, j in pairs if p[i] > p[j]) for p in perms]
     return flips, columns
 
 

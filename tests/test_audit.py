@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from seqasym import catalog
 from seqasym.audit import (
     AuditReport,
+    _fraction,
     audit,
     audit_sequence,
     perturbation_check,
@@ -257,6 +258,24 @@ def test_power_of_two_factors_match_fraction_reference(u_0, tail, r_max):
     assert audit_sequence("two-adic", values, N, r_max) == fraction_reference(
         "two-adic", values, N, r_max
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(0), st.integers(-(2**200), 2**200)),
+    st.integers(-(2**120), 2**120).map(lambda v: 2 * v + 1),
+    st.integers(0, 300),
+    st.integers(0, 300),
+)
+def test_fraction_matches_the_normalising_constructor(num, den_odd, num_twos, den_twos):
+    """The one-gcd build is a Fraction in lowest terms with a positive
+    denominator, for either sign of den_odd and for num = 0."""
+    num <<= num_twos
+    got = _fraction(num, den_odd, den_twos)
+    want = Fraction(num, den_odd << den_twos)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.denominator > 0
 
 
 def test_negative_perturbation_matches_fraction_reference(tournaments1):

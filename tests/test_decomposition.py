@@ -1,8 +1,8 @@
 """Part-count tables: inversion, recurrences, periodic reindexing, the lift.
 
-The term-by-term first-part loop lives here only: it is the reference both
-paths of ``first_part_counts`` (Horner and the direct sum) are checked
-against."""
+The term-by-term first-part loop, with ``math.comb`` binomials, lives here
+only: it is the reference both paths of ``first_part_counts`` (Horner on a
+Pascal row, and the direct sum) are checked against."""
 
 import re
 from math import comb, factorial
@@ -32,7 +32,8 @@ from seqasym.suites import run_suite
 
 
 def _first_part_plain(a: Sequence[int], weight: Callable[[int, int], int] | None) -> list[int]:
-    """The recurrence of :func:`first_part_counts` term by term: the reference."""
+    """The recurrence of :func:`first_part_counts` term by term, with its
+    binomials from ``math.comb``: the reference."""
     x = [0] * len(a)
     for n in range(1, len(a)):
         acc = a[n]
@@ -41,6 +42,11 @@ def _first_part_plain(a: Sequence[int], weight: Callable[[int, int], int] | None
                 acc -= (weight(n, k) * x[k] if weight else x[k]) * a[n - k]
         x[n] = acc
     return x
+
+
+def _rooted(n: int, k: int) -> int:
+    """The cycle-class weight C(n-1, k-1), which ``first_part_counts`` takes as offset 1."""
+    return comb(n - 1, k - 1)
 
 
 def test_convolve_weights():
@@ -136,7 +142,8 @@ _OTHER = st.integers(min_value=0, max_value=10**12).filter(lambda v: not v or v 
 @settings(max_examples=80, deadline=None)
 def test_shifted_recurrence_on_mixed_values(tail, labeling):
     """Powers of two mixed with other values and zeros: ratios that are
-    mostly not integers, so the direct sum runs at every size."""
+    mostly not integers, so no size takes the Horner form: the dense sizes
+    add the products directly, the sparse ones sum their nonzero terms."""
     assume(any(v and not v & (v - 1) for v in tail) and any(v & (v - 1) for v in tail))
     A = catalog.custom([1] + tail, labeling, name="mixed")
     rep = verify_simple_recurrence(A, len(tail))
@@ -145,6 +152,7 @@ def test_shifted_recurrence_on_mixed_values(tail, labeling):
     assert irreducible_counts(A, len(tail)) == _first_part_plain(
         a, comb if labeling == "labeled" else None
     )
+    assert first_part_counts(a, 1) == _first_part_plain(a, _rooted)
 
 
 _RATIO = st.one_of(
@@ -177,6 +185,7 @@ def test_horner_matches_plain_loop_and_series(ratios, geometric, trailing_zero, 
     A = catalog.custom(a, labeling, name="ratios")
     b = irreducible_counts(A, n)
     assert b == _first_part_plain(a, comb if labeling == "labeled" else None)
+    assert first_part_counts(a, 1) == _first_part_plain(a, _rooted)
     assert b == list(series_to_counting(irreducible_series(A, n), labeling))
     if geometric:
         assert b[:17] == [0, ratios[0]] + [0] * 15
@@ -185,8 +194,52 @@ def test_horner_matches_plain_loop_and_series(ratios, geometric, trailing_zero, 
 @pytest.mark.parametrize("A", catalog.catalog_classes(3), ids=lambda A: A.name)
 def test_horner_and_plain_loop_agree_on_the_catalog(A):
     a = A.values(60)
-    weight = comb if A.labeling == "labeled" else None
-    assert first_part_counts(a, weight) == _first_part_plain(a, weight)
+    labeled = A.labeling == "labeled"
+    assert first_part_counts(a, 0 if labeled else None) == _first_part_plain(
+        a, comb if labeled else None
+    )
+
+
+@pytest.mark.parametrize(
+    "A",
+    [c for c in catalog.catalog_classes(3) if c.labeling == "labeled"],
+    ids=lambda A: A.name,
+)
+def test_cycle_weight_matches_plain_loop_on_the_catalog(A):
+    """Offset 1 reads C(n-1, k-1) off the Pascal row at the Horner sizes."""
+    a = A.values(60)
+    assert first_part_counts(a, 1) == _first_part_plain(a, _rooted)
+
+
+@pytest.mark.parametrize(
+    "a, offset",
+    [
+        # n!·c_n with c_n = 1 up to 15, then doubling: b = z through n = 15,
+        # so sizes 8..17 are sparse and the dense sizes resume at 18
+        ([factorial(n) << max(n - 15, 0) for n in range(41)], 0),
+        # the same, with a last value that leaves a ratio non-integer: the
+        # dense sizes sum directly instead of in Horner form
+        ([factorial(n) << max(n - 15, 0) for n in range(40)] + [1], 0),
+        # a_n = c_n with the cycle weight: A = e^z through n = 15, so the
+        # cycle counts are z there and the dense sizes again resume at 18
+        ([1 << max(n - 15, 0) for n in range(41)], 1),
+    ],
+    ids=["horner", "direct", "cycle"],
+)
+def test_pascal_row_rebuilt_after_sparse_sizes(monkeypatch, a, offset):
+    """Dense sizes that follow sparse sizes rebuild the row the sparse sizes
+    left behind, and agree with the plain loop."""
+    sizes = []
+    pascal_row = decomposition._pascal_row
+
+    def counting(m, off):
+        sizes.append(m + 1)
+        return pascal_row(m, off)
+
+    monkeypatch.setattr(decomposition, "_pascal_row", counting)
+    weight = comb if offset == 0 else _rooted
+    assert first_part_counts(a, offset) == _first_part_plain(a, weight)
+    assert sizes == [2, 18]
 
 
 @pytest.mark.parametrize(

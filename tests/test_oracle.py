@@ -1,13 +1,13 @@
 """Brute-force enumerators: frozen small cases, budgets, canonicalization,
 the weighted Landau rule against Tarjan, the score-multiset tally against
-every outcome, the relabeling columns against per-object relabeling, the
-prefix-set walk against the per-object breakpoint masks, grouped
-breakpoint tallies.
+every outcome, the relabeling columns against per-object relabeling and
+the entry-by-entry loop, the prefix-set walk against the per-object
+breakpoint masks, grouped breakpoint tallies.
 
 Tarjan's algorithm with the chain check on the condensation, the
-per-object mask generators, per-object relabeling and the canonical
-tournament code live here only: they are the references the oracles are
-checked against."""
+per-object mask generators, per-object relabeling, the entry-by-entry
+relabeling columns and the canonical tournament code live here only: they
+are the references the oracles are checked against."""
 
 import dataclasses
 import importlib.util
@@ -261,6 +261,28 @@ def test_unlabeled_shards_expand_each_orbit_once(monkeypatch):
     assert all(code == min(orbit) for code, orbit in expanded)
     orbits = [orbit for _, orbit in expanded]
     assert sum(map(len, orbits)) == len(set().union(*orbits)) == 2**10
+
+
+def _relabel_columns_loop(n):
+    """The relabeling columns built entry by entry: the reference."""
+    pairs, pos = _pair_table(n)
+    flips = []
+    columns = [[] for _ in pairs]
+    for perm in itertools.permutations(range(n)):
+        flip = 0
+        for column, (i, j) in zip(columns, pairs):
+            a, b = perm[i], perm[j]
+            bit = 1 << pos[(min(a, b), max(a, b))]
+            column.append(bit)
+            if a > b:
+                flip |= bit
+        flips.append(flip)
+    return flips, columns
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_relabeling_columns_match_the_entrywise_loop(n):
+    assert _relabel_columns(n) == _relabel_columns_loop(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
