@@ -13,6 +13,7 @@ import sys
 
 from seqasym.asymptotics import evaluate_partial_sum, seq_coefficients
 from seqasym.catalog import load_custom, resolve_class
+from seqasym.errors import SeqasymError
 
 
 def main(argv=None):
@@ -25,24 +26,32 @@ def main(argv=None):
     parser.add_argument("--sizes", default="20,30,40,50,60",
                         help="comma-separated n values")
     args = parser.parse_args(argv)
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        parser.error(f"--sizes {args.sizes!r}: expected a comma-separated list of integers")
 
-    A = load_custom(args.custom) if args.custom else resolve_class(
-        args.class_name, args.d
-    )
-    sizes = [int(s) for s in args.sizes.split(",")]
-    coeffs = seq_coefficients(A, args.m, args.r_max + 1)
+    try:
+        A = load_custom(args.custom) if args.custom else resolve_class(
+            args.class_name, args.d
+        )
+        coeffs = seq_coefficients(A, args.m, args.r_max + 1)
+        rows = []
+        for r in range(args.r_max + 1):
+            cells = []
+            for n in sizes:
+                nr = evaluate_partial_sum(A, args.m, n, r).normalized_residual
+                cells.append("undefined" if nr is None else f"{float(nr):+.4f}")
+            rows.append([str(r), str(coeffs.entries(r + 1, args.m))] + cells)
+    except SeqasymError as exc:
+        print(f"{exc.token}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     print(f"# normalized residuals for {A.name}, m={args.m}\n")
     header = ["r", "target d_(r+1)"] + [f"n={n}" for n in sizes]
     print("| " + " | ".join(header) + " |")
     print("|" + "|".join("-" * (len(h) + 2) for h in header) + "|")
-    for r in range(args.r_max + 1):
-        target = coeffs.entries(r + 1, args.m)
-        cells = []
-        for n in sizes:
-            rep = evaluate_partial_sum(A, args.m, n, r)
-            cells.append(f"{float(rep.normalized_residual):+.4f}")
-        row = [str(r), str(target)] + cells
+    for row in rows:
         print("| " + " | ".join(row) + " |")
 
     print()

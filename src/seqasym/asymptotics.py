@@ -392,7 +392,9 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
         c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k},
 
     the first-part recurrence with weight C(n-1, k-1), offset 1: c_1..c_N come
-    from one :func:`first_part_counts` pass over a_0..a_N.
+    from one :func:`first_part_counts` pass over a_0..a_N.  A cycle of parts
+    of sizes divisible by p has a size divisible by p, so the class keeps the
+    period of ``A_seq``.
     """
     _admit(A_seq, "cyc")
 
@@ -404,7 +406,7 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
     return CountingSequence(
         name=f"cyc({A_seq.name})",
         labeling="labeled",
-        period=1,
+        period=A_seq.period,
         _fill=fill,
     )
 

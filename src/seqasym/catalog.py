@@ -24,6 +24,13 @@ unlabeled_tournaments()   unlabeled  1       tournaments up to isomorphism
 constant_ones()           unlabeled  1       1 (sequences of single atoms)
 ========================  =========  ======  =======================================
 
+Every class computes its values as a prefix a_0..a_n, in one filler call.
+The closed forms above are filled as running products, a_n = a_{n-p}·r_n on
+the multiples n of the period p, with a small ratio r_n: (d+1)^(n-1) for
+tournaments, n^d for linear orders and permutations, (2n-1)^d for
+matchings, n-1 for the raw labeled matchings and n·(n-1)^2 for linear
+matchings.
+
 The raw matchings view is deliberately NOT sequence-decomposable (its inversion
 produces a negative part count at n=4); it exists so that the reindexing and
 lifting machinery can be exercised against it.  ``linear_matchings`` is the
@@ -76,40 +83,53 @@ __all__ = [
 class CountingSequence:
     """A counting sequence with cached, pure value computation.
 
-    Instances are immutable by convention: the value function must be pure,
+    Every class gets its values from one prefix filler: ``_fill(n)`` returns
+    a_0..a_n, and a miss at n caches them all, so the cache always holds a
+    prefix.  Instances are immutable by convention: the filler must be pure,
     and the internal cache only ever grows, so concurrent readers are safe.
-    A class whose values come cheaper all at once gives ``_fill`` instead of
-    ``_fn``: ``_fill(n)`` returns a_0..a_n, and a miss at n caches them all.
     """
 
     name: str
     labeling: str  # "labeled" | "unlabeled"
     period: int
-    _fn: Callable[[int], int] | None = None
-    _fill: Callable[[int], list[int]] | None = field(default=None, repr=False)
+    _fill: Callable[[int], list[int]] = field(repr=False)
     _cache: dict[int, int] = field(default_factory=dict, repr=False)
 
     def value(self, n: int) -> int:
         if n < 0:
             raise RangeError("sequence indices start at 0")
-        got = self._cache.get(n)
-        if got is None:
-            if self._fill is None:
-                got = self._cache[n] = self._fn(n)
-            else:
-                self._cache.update(enumerate(self._fill(n)))
-                got = self._cache[n]
-        return got
+        if n not in self._cache:
+            self._cache.update(enumerate(self._fill(n)))
+        return self._cache[n]
 
     def values(self, n_max: int) -> list[int]:
-        if self._fill is not None and n_max >= 0:
+        if n_max >= 0:
             self.value(n_max)  # one filler pass covers every index below
-        return [self.value(n) for n in range(n_max + 1)]
+        return [self._cache[n] for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# closed forms, filled as running products
 # ---------------------------------------------------------------------------
+
+
+def _running_product(factor: Callable[[int], int], period: int = 1) -> Callable[[int], list[int]]:
+    """Prefix filler of a_0 = 1 and a_k = a_{k-p}·factor(k) on the multiples k
+    of the period p, with a_k = 0 off them.
+
+    >>> _running_product(lambda k: k)(5)
+    [1, 1, 2, 6, 24, 120]
+    >>> _running_product(lambda k: k - 1, period=2)(6)
+    [1, 0, 1, 0, 3, 0, 15]
+    """
+
+    def fill(n: int) -> list[int]:
+        out = [1] + [0] * n
+        for k in range(period, n + 1, period):
+            out[k] = out[k - period] * factor(k)
+        return out
+
+    return fill
 
 
 def double_factorial(k: int) -> int:
@@ -132,7 +152,7 @@ def tournaments(d: int = 1) -> CountingSequence:
         name=f"tournaments(d={d})",
         labeling="labeled",
         period=1,
-        _fn=lambda n: (d + 1) ** comb(n, 2),
+        _fill=_running_product(lambda k: (d + 1) ** (k - 1)),
     )
 
 
@@ -144,7 +164,7 @@ def linear_orders(d: int = 1) -> CountingSequence:
         name=f"linear_orders(d={d})",
         labeling="labeled",
         period=1,
-        _fn=lambda n: factorial(n) ** d,
+        _fill=_running_product(lambda k: k**d),
     )
 
 
@@ -156,7 +176,7 @@ def permutations(d: int = 1) -> CountingSequence:
         name=f"permutations(d={d})",
         labeling="unlabeled",
         period=1,
-        _fn=lambda n: factorial(n) ** d,
+        _fill=_running_product(lambda k: k**d),
     )
 
 
@@ -168,7 +188,7 @@ def matchings(d: int = 1) -> CountingSequence:
         name=f"matchings(d={d})",
         labeling="unlabeled",
         period=1,
-        _fn=lambda n: double_factorial(2 * n - 1) ** d,
+        _fill=_running_product(lambda k: (2 * k - 1) ** d),
     )
 
 
@@ -182,7 +202,7 @@ def matchings_labeled() -> CountingSequence:
         name="matchings_labeled",
         labeling="labeled",
         period=2,
-        _fn=lambda n: double_factorial(n - 1) if n % 2 == 0 else 0,
+        _fill=_running_product(lambda k: k - 1, period=2),
     )
 
 
@@ -197,7 +217,7 @@ def linear_matchings() -> CountingSequence:
         name="linear_matchings",
         labeling="labeled",
         period=2,
-        _fn=lambda n: factorial(n) * double_factorial(n - 1) if n % 2 == 0 else 0,
+        _fill=_running_product(lambda k: k * (k - 1) ** 2, period=2),
     )
 
 
@@ -211,7 +231,7 @@ def constant_ones() -> CountingSequence:
         name="constant-1",
         labeling="unlabeled",
         period=1,
-        _fn=lambda n: 1,
+        _fill=lambda n: [1] * (n + 1),
     )
 
 
@@ -386,14 +406,14 @@ def custom(
                     f"declared period {period} but a_{n} = 0 on the support"
                 )
 
-    def fn(n: int) -> int:
+    def fill(n: int) -> list[int]:
         if n >= len(vals):
             raise RangeError(
                 f"custom sequence {name!r} defines values up to n={len(vals) - 1}, asked for {n}"
             )
-        return vals[n]
+        return vals[: n + 1]
 
-    return CountingSequence(name=name, labeling=labeling, period=period, _fn=fn)
+    return CountingSequence(name=name, labeling=labeling, period=period, _fill=fill)
 
 
 def parse_custom_text(text: str, name: str = "custom") -> CountingSequence:
@@ -436,8 +456,16 @@ def parse_custom_text(text: str, name: str = "custom") -> CountingSequence:
 
 
 def load_custom(path: str | Path) -> CountingSequence:
+    """Read a custom class file (UTF-8 text, see :func:`parse_custom_text`).
+
+    A file that is not UTF-8 raises RangeError naming the path.
+    """
     p = Path(path)
-    return parse_custom_text(p.read_text(), name=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RangeError(f"custom class file {str(p)!r} is not UTF-8 text: {exc}") from None
+    return parse_custom_text(text, name=p.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ took 0.53 ms instead of 0.75 ms (medians of 30 alternating runs), from the
 plain loop in ``_dot``.
 
 Row m+1 of a parts table is the convolution of row m with b.  A single entry
-needs only rows 0..m-1: :func:`part_count` returns
+needs only rows m-1 and 1: :func:`part_count` reads them off the table up to
+row max(m-1, 1) and returns
 
     b_n^(m) = sum_k C(n,k) b_k^(m-1) b_{n-k},
 
@@ -230,15 +231,6 @@ def _dot(
     return acc
 
 
-def _require_decomposable(A: CountingSequence, b: Sequence[int]) -> None:
-    """Raise NegativeIrreducibleCount at the first negative irreducible count."""
-    for n, v in enumerate(b):
-        if v < 0:
-            raise NegativeIrreducibleCount(
-                f"{A.name}: b_{n}^(1) = {v} < 0; not sequence-decomposable"
-            )
-
-
 # ---------------------------------------------------------------------------
 # parts tables
 # ---------------------------------------------------------------------------
@@ -283,15 +275,16 @@ def parts_table(A: CountingSequence, m_max: int, n_max: int) -> PartsTable:
     irreducible count: the class is not a sequence of any genuine subclass.
     """
     b = irreducible_counts(A, n_max)
-    if m_max >= 1:
-        _require_decomposable(A, b)
+    if m_max >= 1:  # row 1 is b: its first negative entry is the table's
+        for n, v in enumerate(b):
+            if v < 0:
+                raise NegativeIrreducibleCount(
+                    f"{A.name}: b_{n}^(1) = {v} < 0; not sequence-decomposable"
+                )
     labeled = A.labeling == "labeled"
-    rows: list[tuple[int, ...]] = []
-    counts = [1] + [0] * n_max
-    for m in range(m_max + 1):
-        rows.append(tuple(counts))
-        if m < m_max:
-            counts = convolve(counts, b, labeled)
+    rows = [(1,) + (0,) * n_max]
+    for _ in range(m_max):
+        rows.append(tuple(convolve(rows[-1], b, labeled)))
     return PartsTable(
         class_name=A.name,
         labeling=A.labeling,
@@ -304,21 +297,18 @@ def parts_table(A: CountingSequence, m_max: int, n_max: int) -> PartsTable:
 def part_count(A: CountingSequence, m: int, n: int) -> int:
     """b_n^(m), equal to parts_table(A, m, n).entries(n, m), from one dot product.
 
-    Rows 0..m-1 are built by convolution; the last row is not: its entry n is
-    sum_k C(n,k) b_k^(m-1) b_{n-k}, O(n) work once row m-1 is known.
+    Rows m-1 and 1 are read off parts_table(A, max(m-1, 1), n), which refuses
+    a_0 != 1 and a class that is not sequence-decomposable; row m is not
+    built: its entry n is sum_k C(n,k) b_k^(m-1) b_{n-k}, O(n) work.
     """
     if n < 0 or m < 0:
         raise RangeError(f"(n={n}, m={m}) outside table bounds n>=0, m>=0")
-    b = irreducible_counts(A, n)
     if m == 0:
-        return int(n == 0)
-    _require_decomposable(A, b)
-    labeled = A.labeling == "labeled"
-    row = [1] + [0] * n
-    for _ in range(m - 1):
-        row = convolve(row, b, labeled)
+        return parts_table(A, 0, n).entries(n, 0)
+    table = parts_table(A, max(m - 1, 1), n)
+    row, b = table.row(m - 1), table.row(1)
     ks = [k for k in range(n + 1) if row[k] and b[n - k]]
-    return _dot(row, b, n, 0 if labeled else None, ks)
+    return _dot(row, b, n, 0 if A.labeling == "labeled" else None, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +389,7 @@ def periodic_reindex(A: CountingSequence) -> CountingSequence:
         name=f"{A.name}[/{p}]",
         labeling="unlabeled",
         period=1,
-        _fn=lambda k: A.value(p * k),
+        _fill=lambda n: A.values(p * n)[::p],
     )
 
 

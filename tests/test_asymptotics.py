@@ -132,6 +132,13 @@ def test_cycle_class_matches_per_size_recurrence(A):
     assert [cc.value(n) for n in (5, 40, 12)] == [c[5], c[40], c[12]]
 
 
+def test_cycle_class_keeps_the_period():
+    cc = cyc_class(catalog.linear_matchings())
+    assert cc.period == 2
+    assert cc.values(4) == [1, 0, 2, 0, 60]
+    assert not any(cc.values(30)[1::2])
+
+
 def test_cycle_part_counts_sum_to_class(tournaments1):
     assert cyc_part_count(tournaments1, 2, 4) == 8
     cc = cyc_class(tournaments1)

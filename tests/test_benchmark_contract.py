@@ -8,6 +8,7 @@ the package.
 
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -19,6 +20,8 @@ import seqasym.oracle
 from seqasym.asymptotics import CoefficientTable
 from seqasym.series import PowerSeries
 from seqasym.suites import ORACLE_GRID
+
+from conftest import run_python
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -86,6 +89,21 @@ def test_cycle_parts_capture_one_count_per_cell(captured):
     _table("--class", "tournaments", "--construction", "cyc", "--kind", "parts",
            "--m", "1..2", "--n", "1..3")
     assert [type(r) for r in captured] == [int] * 6
+
+
+def test_traced_worker_pass_sees_the_value_cache(tmp_path):
+    """The tracer wraps CountingSequence.value and values and reads _cache;
+    a traced pass over two small jobs runs them and counts cache misses."""
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([
+        [["table", "--class", "tournaments", "--n", "1..4", "--m", "1..2"], 0],
+        [["audit", "--class", "permutations", "--N", "12"], 0],
+    ]))
+    res = run_python(str(PERFBENCH / "worker.py"), "--jobs-file", str(jobs), "--trace")
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert [job["status"] for job in report["jobs"]] == [0, 0]
+    assert report["layers"]["catalog.value.misses"][0] > 0
 
 
 def test_power_series_defines_every_traced_method(harness):

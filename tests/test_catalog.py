@@ -1,7 +1,7 @@
 """Catalog counting sequences: closed forms, Burnside counts, custom classes."""
 
 from itertools import permutations
-from math import factorial, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from seqasym import catalog
 from seqasym.audit import audit
+from seqasym.decomposition import periodic_reindex
 from seqasym.errors import (
     BadConstantTerm,
     NegativeCount,
@@ -220,3 +221,60 @@ def test_values_cache_is_consistent():
     A = catalog.tournaments(1)
     first = A.value(12)
     assert A.value(12) == first == 2**66
+
+
+# ---------------------------------------------------------------------------
+# prefix fillers against the per-index closed forms
+# ---------------------------------------------------------------------------
+
+
+def _odd_product(k):
+    """k!! for odd k >= -1, as a plain product."""
+    return prod(range(1, k + 1, 2))
+
+
+CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
+
+# value(n) of each class, one index at a time: the references the running
+# products and the other prefix fillers must agree with
+CLOSED_FORMS = {
+    **{f"tournaments(d={d})": (lambda n, d=d: (d + 1) ** comb(n, 2)) for d in (1, 2, 3)},
+    **{f"linear_orders(d={d})": (lambda n, d=d: factorial(n) ** d) for d in (1, 2, 3)},
+    **{f"permutations(d={d})": (lambda n, d=d: factorial(n) ** d) for d in (1, 2, 3)},
+    **{f"matchings(d={d})": (lambda n, d=d: _odd_product(2 * n - 1) ** d) for d in (1, 2, 3)},
+    "matchings_labeled": lambda n: 0 if n % 2 else _odd_product(n - 1),
+    "linear_matchings": lambda n: 0 if n % 2 else factorial(n) * _odd_product(n - 1),
+    "linear_matchings[/2]": lambda k: factorial(2 * k) * _odd_product(2 * k - 1),
+    "unlabeled_tournaments": catalog.unlabeled_tournament_count,
+    "constant-1": lambda n: 1,
+    "catalan": lambda n: CATALAN[n],
+}
+
+
+def _fresh_classes():
+    return [
+        *catalog.catalog_classes(3),
+        catalog.matchings_labeled(),
+        catalog.custom(CATALAN, "unlabeled", name="catalan"),
+        periodic_reindex(catalog.linear_matchings()),
+    ]
+
+
+def test_closed_forms_cover_the_classes():
+    assert sorted(A.name for A in _fresh_classes()) == sorted(CLOSED_FORMS)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_prefix_fillers_match_the_closed_forms_in_any_call_order(data):
+    calls = st.lists(st.tuples(st.booleans(), st.integers(0, 18)), min_size=1, max_size=5)
+    for A in _fresh_classes():
+        ref = CLOSED_FORMS[A.name]
+        for batch, n in data.draw(calls, label=A.name):
+            if A.name == "catalan" and n >= len(CATALAN):
+                with pytest.raises(RangeError, match=f"up to n=7, asked for {n}$"):
+                    A.values(n) if batch else A.value(n)
+            elif batch:
+                assert A.values(n) == [ref(k) for k in range(n + 1)]
+            else:
+                assert A.value(n) == ref(n)

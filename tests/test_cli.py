@@ -169,6 +169,22 @@ def test_custom_refuses_class_and_d(runner, tmp_path, command, extra, named):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["table", "--n", "0..3"], ["expansion", "--n", "6", "--terms", "1"], ["audit", "--N", "10"]],
+    ids=lambda c: c[0],
+)
+def test_custom_file_that_is_not_utf8_is_a_usage_error(runner, tmp_path, command):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"labeling: unlabeled\n1\n\xff\n")
+    res = invoke(runner, command[0], "--custom", str(f), *command[1:])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"RangeError: custom class file {str(f)!r} is not UTF-8"), (
+        res.stderr
+    )
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
     "kind, stray, named",
     [
         ("parts", ["--k", "0..3"], "--k 0..3: --kind parts takes --n"),

@@ -16,6 +16,33 @@ def test_residual_study_default_rows():
     assert "| 1 | -1 | -1.3300 | -1.1760 | -1.1215 | -1.0930 | -1.0754 |" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("--class", "nope"), "UnknownClass: unknown class 'nope'"),
+        (("--d", "0"), "RangeError: --d 0: "),
+        (("--m", "0"), "RangeError: --m 0: "),
+        (("--sizes", "x"), "--sizes 'x': expected a comma-separated list of integers"),
+        (("--sizes", "20,,30"), "--sizes '20,,30': "),
+    ],
+    ids=["class-unknown", "d-zero", "m-zero", "sizes-word", "sizes-empty-item"],
+)
+def test_residual_study_rejects_bad_arguments(args, named):
+    res = run_script("residual_study.py", *args)
+    assert res.returncode == 2
+    assert named in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_residual_study_marks_a_zero_next_shape_undefined(tmp_path):
+    """On an unlabeled period-2 class the odd-index shapes are 0."""
+    f = tmp_path / "evens.seq"
+    f.write_text("labeling: unlabeled\nperiod: 2\n" + "1\n0\n" * 10 + "1\n")
+    res = run_script("residual_study.py", "--custom", str(f), "--sizes", "10,20", "--r-max", "1")
+    assert res.returncode == 0, res.stderr
+    assert "| 0 | 0 | undefined | undefined |" in res.stdout
+
+
 def test_audit_survey_help():
     res = run_script("audit_survey.py", "--help")
     assert res.returncode == 0, res.stderr
