@@ -56,7 +56,7 @@ from math import comb, factorial, gcd
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .errors import BadConstantTerm, NegativeCount, PeriodMismatch, RangeError
+from .errors import BadConstantTerm, NegativeCount, PeriodMismatch, RangeError, SeqasymError
 
 __all__ = [
     "CountingSequence",
@@ -458,14 +458,19 @@ def parse_custom_text(text: str, name: str = "custom") -> CountingSequence:
 def load_custom(path: str | Path) -> CountingSequence:
     """Read a custom class file (UTF-8 text, see :func:`parse_custom_text`).
 
-    A file that is not UTF-8 raises RangeError naming the path.
+    Every error in the file names its path: a file that is not UTF-8 raises
+    RangeError, and an error of :func:`parse_custom_text` is raised again as
+    the same class with the path in front of its message.
     """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise RangeError(f"custom class file {str(p)!r} is not UTF-8 text: {exc}") from None
-    return parse_custom_text(text, name=p.stem)
+    try:
+        return parse_custom_text(text, name=p.stem)
+    except SeqasymError as exc:
+        raise type(exc)(f"custom class file {str(p)!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,41 @@ def test_perturbation_length_checks(tournaments1):
     [pytest.param(A, SURVEY_N, id=A.name) for A in catalog.catalog_classes(3)]
     + [
         pytest.param(catalog.tournaments(d), 120, id=f"tournaments(d={d})-N120")
-        for d in (1, 3)
-    ],
+        for d in (1, 2, 3)
+    ]
+    + [pytest.param(catalog.matchings_labeled(), 120, id="matchings_labeled-N120")],
 )
 def test_integer_traces_match_fraction_reference(A, N):
     rep = audit(A, N)
     assert rep == fraction_reference(rep.class_name, reduced_values(A, N), N, 3)
+
+
+@st.composite
+def _labeled_values(draw):
+    """(a_0..a_{pN}, p, N) of a labeled custom class: a_{pk} = (pk)!·u_k with
+    drawn integers u_k, or drawn a_{pk} with an odd a_2, so u_2 = a_2/2 is
+    not an integer."""
+    p = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(10, 16))
+    support = draw(st.lists(st.integers(1, 10**6), min_size=N, max_size=N))
+    whole = draw(st.booleans())
+    if not whole:
+        support[2 // p - 1] |= 1
+    a = [1]
+    for n in range(1, p * N + 1):
+        a.append(0 if n % p else support[n // p - 1] * (factorial(n) if whole else 1))
+    return a, p, N
+
+
+@settings(max_examples=60, deadline=None)
+@given(_labeled_values(), st.integers(1, 5))
+def test_labeled_audit_matches_fraction_reference(drawn, r_max):
+    """Labeled classes audited on their own integers, and those whose reduced
+    values are integers, give the reference report."""
+    a, p, N = drawn
+    A = catalog.custom(a, "labeled", p, name="drawn")
+    rep = audit(A, N, r_max)
+    assert rep == fraction_reference(rep.class_name, reduced_values(A, N), N, r_max)
 
 
 @settings(max_examples=60, deadline=None)

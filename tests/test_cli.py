@@ -185,6 +185,32 @@ def test_custom_file_that_is_not_utf8_is_a_usage_error(runner, tmp_path, command
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["table", "--n", "0..3"], ["expansion", "--n", "6", "--terms", "1"], ["audit", "--N", "10"]],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("period: 1\n1\n1\n", "RangeError: missing 'labeling:' header"),
+        ("labeling: unlabeled\n1\nfive\n", "RangeError: bad integer line 'five'"),
+        ("labeling: unlabeled\nsize: 3\n1\n", "RangeError: unknown header line 'size: 3'"),
+        ("labeling: unlabeled\nperiod: two\n1\n", "RangeError: bad period 'two'"),
+        ("labeling: unlabeled\n2\n1\n", "BadConstantTerm: a_0 must be 1, got 2"),
+    ],
+    ids=["labeling", "integer", "header", "period", "a0"],
+)
+def test_custom_file_errors_name_the_file(runner, tmp_path, command, text, error):
+    f = tmp_path / "broken.seq"
+    f.write_text(text)
+    res = invoke(runner, command[0], "--custom", str(f), *command[1:])
+    assert res.exit_code == 2
+    token, message = error.split(": ", 1)
+    assert res.stderr == f"{token}: custom class file {str(f)!r}: {message}\n"
+    assert res.stdout == "" and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
     "kind, stray, named",
     [
         ("parts", ["--k", "0..3"], "--k 0..3: --kind parts takes --n"),

@@ -1,8 +1,9 @@
 """Part-count tables: inversion, recurrences, periodic reindexing, the lift.
 
-The term-by-term first-part loop, with ``math.comb`` binomials, lives here
-only: it is the reference both paths of ``first_part_counts`` (Horner on a
-Pascal row, and the direct sum) are checked against."""
+The term-by-term first-part loop and the term-by-term convolution, with
+``math.comb`` binomials, live here only: they are the references both paths
+of ``first_part_counts`` (Horner on a Pascal row, and the direct sum) and the
+parts-table rows divided through A are checked against."""
 
 import re
 from math import comb, factorial
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from seqasym import catalog, decomposition
 from seqasym.decomposition import (
-    convolve,
     first_part_counts,
     irreducible_counts,
     irreducible_series,
@@ -44,6 +44,24 @@ def _first_part_plain(a: Sequence[int], weight: Callable[[int, int], int] | None
     return x
 
 
+def _convolve_plain(f: Sequence[int], g: Sequence[int], labeled: bool) -> list[int]:
+    """h_n = sum_k C(n,k) f_k g_{n-k} (no binomial when unlabeled), up to the
+    shorter length, term by term: the reference for the parts-table rows."""
+    n_max = min(len(f), len(g)) - 1
+    return [
+        sum((comb(n, k) if labeled else 1) * f[k] * g[n - k] for k in range(n + 1))
+        for n in range(n_max + 1)
+    ]
+
+
+def _rows_by_convolution(b: Sequence[int], m_max: int, labeled: bool) -> list[list[int]]:
+    """Rows 0..m_max of a parts table as repeated products with b."""
+    rows = [[1] + [0] * (len(b) - 1)]
+    for _ in range(m_max):
+        rows.append(_convolve_plain(rows[-1], b, labeled))
+    return rows
+
+
 def _rooted(n: int, k: int) -> int:
     """The cycle-class weight C(n-1, k-1), which ``first_part_counts`` takes as offset 1."""
     return comb(n - 1, k - 1)
@@ -52,9 +70,52 @@ def _rooted(n: int, k: int) -> int:
 def test_convolve_weights():
     ones = [1] * 7
     # e^z · e^z = e^{2z} labeled; 1/(1-z)^2 unlabeled
-    assert convolve(ones, ones, labeled=True) == [2**n for n in range(7)]
-    assert convolve(ones, ones, labeled=False) == [n + 1 for n in range(7)]
-    assert convolve(ones, ones[:3], labeled=False) == [1, 2, 3]
+    assert _convolve_plain(ones, ones, labeled=True) == [2**n for n in range(7)]
+    assert _convolve_plain(ones, ones, labeled=False) == [n + 1 for n in range(7)]
+    assert _convolve_plain(ones, ones[:3], labeled=False) == [1, 2, 3]
+
+
+@st.composite
+def _decomposable_classes(draw):
+    """(a, b, labeling, period) for A = SEQ(B) with a drawn b: dense values
+    (ratios of a mostly not integers), or one atom c·z^p, as in
+    linear_orders(1), whose rows are sparse."""
+    labeling = draw(st.sampled_from(["labeled", "unlabeled"]))
+    p = draw(st.sampled_from([1, 2]))
+    n_max = draw(st.integers(p, 24))
+    if draw(st.booleans()):
+        support = draw(st.lists(st.integers(0, 40), min_size=n_max, max_size=n_max))
+    else:
+        support = [draw(st.integers(1, 5))] + [0] * (n_max - 1)
+    support[0] = max(support[0], 1)  # a nonzero value on every multiple of p
+    b = [0] * (n_max + 1)
+    for k in range(p, n_max + 1, p):
+        b[k] = support[k // p - 1]
+    labeled = labeling == "labeled"
+    a = [1]
+    for n in range(1, n_max + 1):
+        a.append(sum((comb(n, k) if labeled else 1) * b[k] * a[n - k] for k in range(1, n + 1)))
+    return a, b, labeling, p
+
+
+@given(_decomposable_classes(), st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_parts_rows_match_repeated_convolution(cls, m_max):
+    """Row m+1 is row m minus row m divided by A: the same rows as repeated
+    products with b, on labeled and unlabeled classes of period 1 and 2."""
+    a, b, labeling, p = cls
+    n_max = len(a) - 1
+    table = parts_table(catalog.custom(a, labeling, p, name="drawn"), m_max, n_max)
+    want = _rows_by_convolution(b, m_max, labeling == "labeled")
+    assert [list(table.row(m)) for m in range(m_max + 1)] == want
+
+
+@pytest.mark.parametrize("A", catalog.catalog_classes(3), ids=lambda A: A.name)
+def test_parts_rows_match_repeated_convolution_on_the_catalog(A):
+    labeled = A.labeling == "labeled"
+    b = _first_part_plain(A.values(40), comb if labeled else None)
+    table = parts_table(A, 5, 40)
+    assert [list(table.row(m)) for m in range(6)] == _rows_by_convolution(b, 5, labeled)
 
 
 def test_irreducible_tournaments_prefix(tournaments1):
@@ -103,9 +164,10 @@ def test_raw_even_matchings_not_seq_decomposable():
     # a_{2n} = (2n-1)!! with labels: the candidate first-part count goes
     # negative at size 4, so no sequence decomposition exists.
     A = catalog.matchings_labeled()
-    with pytest.raises(NegativeIrreducibleCount) as err:
-        parts_table(A, 1, 6)
-    assert "b_4" in str(err.value)
+    for m in (1, 5):
+        with pytest.raises(NegativeIrreducibleCount) as err:
+            parts_table(A, m, 6)
+        assert str(err.value) == "matchings_labeled: b_4^(1) = -3 < 0; not sequence-decomposable"
 
 
 @pytest.mark.parametrize("A", catalog.catalog_classes(3), ids=lambda A: A.name)
