@@ -6,6 +6,11 @@ a fixed configuration; human output may add 6-significant-digit decimals
 marked "(approx)".  Timings go to stderr only: ``audit`` and ``verify``
 always end with ``elapsed: X.XXXs`` there, ``oracle`` in human formats;
 ``verify`` writes ``elapsed <suite>: X.XXXs`` before it for each suite run.
+
+Every command computes its whole result before it writes a byte, so an error
+prints nothing on stdout.  JSON is then written as it is encoded
+(``render.write_json``), which keeps a document of huge exact numbers from
+being held whole as text; md and csv are built whole and printed at once.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .audit import audit
 from .decomposition import parts_table
 from .errors import RangeError, SeqasymError
 from .oracle import DEFAULT_BUDGET, ORACLE_KINDS, oracle_for
-from .render import approx, frac_str, grid_csv, grid_markdown, json_document
+from .render import approx, frac_str, grid_csv, grid_markdown, write_json
 from .suites import MEMBER_SUITES, SUITE_NAMES, run_suite
 
 FORMATS = click.Choice(["md", "csv", "json"])
@@ -64,9 +69,9 @@ def _resolve(class_name: str | None, d: int, custom: str | None) -> catalog.Coun
 
 
 def _emit(fmt: str, config: dict, result, human: Callable[[], str]) -> None:
-    """Print the json document, or the md/csv text, built only when asked for."""
+    """Write the json document, or print the md/csv text, built only when asked for."""
     if fmt == "json":
-        click.echo(json_document(config, result))
+        write_json(config, result)
     else:
         click.echo(human())
 
@@ -338,7 +343,7 @@ def cmd_verify(suite, budget, workers, fmt):
             "skipped": n_skip,
         }
         if fmt == "json":
-            click.echo(json_document(config, result))
+            write_json(config, result)
         else:
             marker = {"ok": "ok  ", "fail": "FAIL", "skip": "skip"}
             for c in checks:

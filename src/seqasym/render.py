@@ -6,6 +6,12 @@ appear solely in human-readable output, always marked "(approx)" and limited
 to 6 significant digits, so nothing rounded can be mistaken for exact data.
 Identical inputs must produce byte-identical output: no timestamps, no hash
 iteration order, no locale-dependent formatting.
+
+JSON is written to stdout as it is encoded, in blocks of about
+``JSON_BLOCK`` characters, so a document of huge exact numbers is never held
+whole as text; its memory is that of the values it encodes plus one block.
+The markdown and CSV texts are built whole and printed by the caller: a
+markdown column needs the width of every cell before its first line.
 """
 
 from __future__ import annotations
@@ -15,7 +21,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
+import click
+
 SCHEMA_VERSION = "1"
+JSON_BLOCK = 1 << 16  # characters of encoded JSON passed to stdout at a time
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -23,7 +32,7 @@ __all__ = [
     "frac_str",
     "grid_markdown",
     "grid_csv",
-    "json_document",
+    "write_json",
 ]
 
 
@@ -72,20 +81,35 @@ def grid_csv(
     return "\n".join(lines)
 
 
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, Fraction):
-        return frac_str(x)
+def _str_keys(x: Any) -> Any:
+    """x with every dict key str()-ed, so keys sort as text ("10" < "2");
+    the values are left for the encoder."""
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return {str(k): _str_keys(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [_str_keys(v) for v in x]
     return x
 
 
-def json_document(config: dict, result: Any) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _jsonable(config),
-        "result": _jsonable(result),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+def _exact(x: Any) -> str:
+    """The encoder's fallback: a Fraction as its exact text, nothing else."""
+    if isinstance(x, Fraction):
+        return frac_str(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def write_json(config: dict, result: Any) -> None:
+    """Write the schema-versioned document to stdout, one line ending, as it
+    is encoded (see the module docstring)."""
+    doc = {"schema_version": SCHEMA_VERSION, "config": config, "result": result}
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_exact)
+    block: list[str] = []
+    size = 0
+    for chunk in encoder.iterencode(_str_keys(doc)):
+        block.append(chunk)
+        size += len(chunk)
+        if size >= JSON_BLOCK:
+            click.echo("".join(block), nl=False)
+            block, size = [], 0
+    block.append("\n")
+    click.echo("".join(block), nl=False)

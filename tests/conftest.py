@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from seqasym import catalog
+from seqasym.render import frac_str
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,3 +50,22 @@ def run_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     """Run scripts/<name> in a fresh interpreter with the package on its path."""
     return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def _jsonable(x):
+    """x as plain JSON data: Fractions as exact strings, dict keys str()-ed,
+    tuples as lists."""
+    if isinstance(x, Fraction):
+        return frac_str(x)
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return x
+
+
+def reference_json(config, result) -> str:
+    """The document built whole and dumped at once: the text that
+    ``render.write_json`` must reproduce byte for byte."""
+    doc = {"schema_version": "1", "config": _jsonable(config), "result": _jsonable(result)}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -211,7 +211,10 @@ def test_perturbation_length_checks(tournaments1):
         pytest.param(catalog.tournaments(d), 120, id=f"tournaments(d={d})-N120")
         for d in (1, 2, 3)
     ]
-    + [pytest.param(catalog.matchings_labeled(), 120, id="matchings_labeled-N120")],
+    + [
+        pytest.param(A, 120, id=f"{A.name}-N120")
+        for A in (catalog.matchings_labeled(), catalog.linear_matchings())
+    ],
 )
 def test_integer_traces_match_fraction_reference(A, N):
     rep = audit(A, N)

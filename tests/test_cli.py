@@ -13,9 +13,10 @@ from seqasym.catalog import CATALOG_FACTORIES
 from seqasym.cli import main, parse_range
 from seqasym.errors import RangeError
 from seqasym.oracle import ORACLE_KINDS, object_count
+from seqasym.render import write_json
 from seqasym.suites import MEMBER_SUITES, ORACLE_GRID, SUITE_NAMES, Check, run_suite
 
-from conftest import run_python
+from conftest import reference_json, run_python
 
 
 @pytest.fixture()
@@ -645,6 +646,42 @@ def test_usage_errors_name_the_argument_and_its_value(runner, args, named):
     assert res.exit_code == 2
     assert res.stderr.startswith(f"RangeError: {named}"), res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# json output: one writer, byte-identical to the whole-document form
+# ---------------------------------------------------------------------------
+
+JSON_COMMANDS = {
+    "table-parts": ["table", "--class", "tournaments", "--m", "1..3", "--n", "0..12"],
+    "table-coefficients": ["table", "--class", "permutations", "--d", "2",
+                           "--kind", "coefficients", "--k", "0..12", "--m", "1..4"],
+    "table-cyc": ["table", "--class", "tournaments", "--construction", "cyc",
+                  "--m", "1..3", "--n", "1..12"],
+    "expansion-seq": ["expansion", "--class", "tournaments", "--n", "40", "--m", "2"],
+    "expansion-cyc": ["expansion", "--class", "tournaments", "--construction", "cyc",
+                      "--n", "30", "--terms", "3"],
+    "expansion-set": ["expansion", "--class", "permutations", "--construction", "set",
+                      "--n", "30", "--terms", "2"],
+    "audit": ["audit", "--class", "tournaments", "--N", "60"],
+    "verify": ["verify", "--suite", "comtet"],
+    "oracle": ["oracle", "--class", "tournaments", "--n", "5"],
+}
+
+
+@pytest.mark.parametrize("args", JSON_COMMANDS.values(), ids=JSON_COMMANDS)
+def test_json_stdout_is_the_reference_document(runner, monkeypatch, args):
+    seen = []
+
+    def recording(config, result):
+        seen.append(reference_json(config, result))
+        write_json(config, result)
+
+    monkeypatch.setattr("seqasym.cli.write_json", recording)
+    res = invoke(runner, *args, "--format", "json")
+    assert res.exit_code == 0
+    assert len(seen) == 1
+    assert res.stdout == seen[0]
 
 
 # ---------------------------------------------------------------------------
