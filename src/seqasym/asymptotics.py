@@ -13,13 +13,11 @@ support of a p-periodic labeled class.  The d_{k,m} are integers; everything
 in this module is exact rational arithmetic, and "probabilities" are exact
 ratios of counting values, so residuals of truncated expansions are exact too.
 
-Two sibling constructions reuse the same part counts:
-
-* cycles: if A_cyc = CYC(B), the coefficients are  b_k^(m-1) - b_k^(m)  and
-  the shapes come from the cycle-class counting values (the exponential
-  formula gives the class series 1 + log(1/(1 - B)));
-* sets via sequences (unlabeled, one part only): P(irreducible) expands as
-  1 - sum_{k>=1} d_k * a_{n-k}/a_n  with d_k the sequence-irreducible counts.
+One table, ``_CELLS``, holds the rules of each (construction, labeling) cell.
+seq takes either labeling.  cyc (labeled): for A_cyc = CYC(B) the coefficients
+are  b_k^(m-1) - b_k^(m), with shapes from the cycle class 1 + log(1/(1 - B)).
+set via seq (unlabeled, m = 1):  P(irreducible) ~ 1 - sum_{k>=1} d_k a_{n-k}/a_n
+with d_k the sequence-irreducible counts, and no exact law.
 
 The generic composition route (:func:`bender_compose`) computes, for U with
 zero constant term and F from the closed kernel families
@@ -34,7 +32,7 @@ coefficients are exactly the counting values of W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 from fractions import Fraction
 from math import comb, factorial
@@ -65,18 +63,49 @@ __all__ = [
 # construction rules
 # ---------------------------------------------------------------------------
 
-CONSTRUCTIONS = ("seq", "cyc", "set")
 
-# the one labeling a construction is defined for; seq takes either
-_LABELING = {"cyc": "labeled", "set": "unlabeled"}
+# The lambdas look functions up at call time: cyc_* are defined below, and any
+# of them may be wrapped.
+@dataclass(frozen=True)
+class _Cell:
+    label: str  # CoefficientTable.construction
+    entry: Callable[[Callable[[int, int], int], int, int], int]  # d(b, k, m), b(k, m) = b_k^(m)
+    # the exact m-part count at size n, or None
+    count: Callable[[CountingSequence, int, int], int] | None = lambda A, m, n: part_count(A, m, n)
+    shapes: Callable[[CountingSequence], CountingSequence] = lambda A: A  # class of the shapes
+    extra_rows: int = 0  # part-count rows read past m
+    one_part_only: bool = False  # only m = 1 is defined
+    subtracts: bool = False  # terms k >= 1 enter the partial sum negated
+    steps_by_period: bool = False  # the expansion index steps by the class's period
+    note: str = ""  # {name}: the class's name
 
 
-def _admit(A: CountingSequence, construction: str, m: int = 1) -> None:
-    """Refuse a construction, class or part count outside the construction rules.
+_SEQ = _Cell("seq", lambda b, k, m: m * (b(k, m - 1) - 2 * b(k, m) + b(k, m + 1)), extra_rows=1)
+_CELLS = {
+    ("seq", "labeled"): replace(_SEQ, steps_by_period=True),
+    ("seq", "unlabeled"): _SEQ,
+    ("cyc", "labeled"): _Cell(
+        "cyc",
+        lambda b, k, m: b(k, m - 1) - b(k, m),
+        count=lambda A, m, n: cyc_part_count(A, m, n),
+        shapes=lambda A: cyc_class(A),
+        note="shapes and exact law from the derived cycle class over {name}",
+    ),
+    ("set", "unlabeled"): _Cell(
+        "set-via-seq",
+        lambda b, k, m: b(k, 1) if k else 1,
+        count=None,
+        one_part_only=True,
+        subtracts=True,
+        note="set construction: partial sum is 1 - sum of irreducible-count terms; "
+        "no exact reference law in scope",
+    ),
+}
+CONSTRUCTIONS = tuple(dict.fromkeys(c for c, _ in _CELLS))
 
-    seq applies to any class, cyc to labeled classes only, and set to
-    unlabeled classes with the one-part expansion (m = 1) only.
-    """
+
+def _admit(A: CountingSequence, construction: str, m: int = 1) -> _Cell:
+    """The cell of a construction and class, or RangeError outside ``_CELLS``."""
     if construction not in CONSTRUCTIONS:
         raise RangeError(
             f"--construction {construction}: unknown construction;"
@@ -84,14 +113,18 @@ def _admit(A: CountingSequence, construction: str, m: int = 1) -> None:
         )
     if m < 1:
         raise RangeError(f"--m {m}: m must be at least 1")
-    labeling = _LABELING.get(construction, A.labeling)
-    if A.labeling != labeling:
+    cell = _CELLS.get((construction, A.labeling))
+    if cell is None:
+        labelings = " or ".join(lab for con, lab in _CELLS if con == construction)
         raise RangeError(
-            f"--construction {construction}: defined for {labeling} classes only;"
+            f"--construction {construction}: defined for {labelings} classes only;"
             f" {A.name} is {A.labeling}"
         )
-    if construction == "set" and m != 1:
-        raise RangeError(f"--m {m}: the set construction defines only the one-part expansion")
+    if cell.one_part_only and m != 1:
+        raise RangeError(
+            f"--m {m}: the {construction} construction defines only the one-part expansion"
+        )
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -123,37 +156,27 @@ class CoefficientTable:
 
 
 def _coefficients(
-    A: CountingSequence,
-    construction: str,
-    m_max: int,
-    k_max: int,
-    entry: Callable[[Callable[[int, int], int], int, int], int],
+    A: CountingSequence, construction: str, m_max: int, k_max: int
 ) -> CoefficientTable:
-    """The table of entry(b, k, m) for m = 1..m_max, k = 0..k_max, b(k, m) = b_k^(m).
-
-    The construction's rules are checked before any part count is computed;
-    seq reads row m_max + 1 of the part counts, cyc and set no row past m_max.
-    """
-    _admit(A, construction, m_max)
-    b = parts_table(A, m_max + (construction == "seq"), k_max).entries
+    """The cell's entry(b, k, m) for m = 1..m_max, k = 0..k_max, once admitted."""
+    cell = _admit(A, construction, m_max)
+    b = parts_table(A, m_max + cell.extra_rows, k_max).entries
     return CoefficientTable(
-        construction="set-via-seq" if construction == "set" else construction,
-        class_name=f"cyc({A.name})" if construction == "cyc" else A.name,
+        construction=cell.label,
+        class_name=cell.shapes(A).name,
         labeling=A.labeling,
         period=A.period,
         k_max=k_max,
         m_max=m_max,
         _rows=tuple(
-            tuple(entry(b, k, m) for k in range(k_max + 1)) for m in range(1, m_max + 1)
+            tuple(cell.entry(b, k, m) for k in range(k_max + 1)) for m in range(1, m_max + 1)
         ),
     )
 
 
 def seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
     """d_{k,m} = m (b_k^(m-1) - 2 b_k^(m) + b_k^(m+1)) for m = 1..m_max."""
-    return _coefficients(
-        A, "seq", m_max, k_max, lambda b, k, m: m * (b(k, m - 1) - 2 * b(k, m) + b(k, m + 1))
-    )
+    return _coefficients(A, "seq", m_max, k_max)
 
 
 def cyc_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
@@ -162,7 +185,7 @@ def cyc_coefficients(A: CountingSequence, m_max: int, k_max: int) -> Coefficient
     ``A`` is the sequence-side companion class supplying the part counts; the
     caller asserts that the class under study is CYC of the same part class.
     """
-    return _coefficients(A, "cyc", m_max, k_max, lambda b, k, m: b(k, m - 1) - b(k, m))
+    return _coefficients(A, "cyc", m_max, k_max)
 
 
 def set_via_seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
@@ -172,7 +195,7 @@ def set_via_seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> Coe
     evaluation SUBTRACTS them: P ~ 1 - sum d_k a_{n-k}/a_n); entries(0, 1) = 1.
     Multi-part coefficients are not defined for sets: 1 is the only m_max.
     """
-    return _coefficients(A, "set", m_max, k_max, lambda b, k, m: b(k, 1) if k else 1)
+    return _coefficients(A, "set", m_max, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -286,74 +309,49 @@ def _term_shape(A: CountingSequence, n: int, k_raw: int) -> Fraction:
 
 
 def evaluate_partial_sum(
-    A: CountingSequence,
-    m: int,
-    n: int,
-    r: int,
-    construction: str = "seq",
+    A: CountingSequence, m: int, n: int, r: int, construction: str = "seq"
 ) -> ExpansionReport:
     """Evaluate the truncated expansion exactly and compare to the exact law.
 
     ``r`` is the number of correction terms: the partial sum runs over
-    k = 0..r on the expansion index (multiplied by the period for periodic
-    classes).  Each call builds its own coefficient table up to the first
-    omitted term.  The exact probability comes from one part-count entry at
-    size n — an independent computation — and residual = exact - partial
-    holds as an identity of rationals.  The normalized residual divides by
-    the shape of the first omitted term; it is None when that shape is 0.
-
-    For the set construction only the one-part expansion exists, the partial
-    sum is 1 - sum d_k * shape_k, and no exact reference value is available
-    (inverting the multiset construction is out of scope), so the exact,
-    residual, and normalized fields are None.
+    k = 0..r on the expansion index, which steps by the period under seq on
+    a labeled periodic class and by 1 in every other cell (under cyc on a
+    periodic class too, a known gap: ROADMAP item 1).  Each call builds its
+    own coefficient table up to the first omitted term.  The exact law is
+    the cell's m-part count at size n — an independent computation — so
+    residual = exact - partial is an identity of rationals.  The normalized
+    residual divides by the shape of the first omitted term; it is None when
+    that shape is 0.  The set cell's partial sum is 1 - sum d_k * shape_k
+    and it has no exact law (inverting the multiset construction is out of
+    scope), so its exact, residual, and normalized fields are None.
 
     Raises RangeError outside the construction rules, for r < 0, for n below
     the index of the first omitted term, and when the class whose values give
     the shapes has no object of size n.
     """
-    _admit(A, construction, m)
+    cell = _admit(A, construction, m)
     if r < 0:
         raise RangeError(f"--terms {r}: terms must be nonnegative")
-    # the expansion index steps by the period on a labeled periodic class
-    p = A.period if construction == "seq" and A.labeling == "labeled" else 1
+    p = A.period if cell.steps_by_period else 1
     if n < p * (r + 1):
         raise RangeError(f"--n {n} is too small for --terms {r}: need --n >= {p * (r + 1)}")
     if A.period > 1 and A.labeling == "labeled" and n % A.period:
         raise RangeError(f"--n {n}: size {n} is not a multiple of the period {A.period}")
-    shapes_class = A
-    note = ""
-    if construction == "seq":
-        coefficients = seq_coefficients(A, m, p * (r + 1))
-        count = part_count(A, m, n)
-    elif construction == "cyc":
-        shapes_class = cyc_class(A)
-        coefficients = cyc_coefficients(A, m, r + 1)
-        count = cyc_part_count(A, m, n)
-        note = f"shapes and exact law from the derived cycle class over {A.name}"
-    else:
-        coefficients = set_via_seq_coefficients(A, m, r + 1)
-        count = None
-        note = (
-            "set construction: partial sum is 1 - sum of irreducible-count terms; "
-            "no exact reference law in scope"
-        )
+    shapes_class = cell.shapes(A)
+    coefficients = _coefficients(A, construction, m, p * (r + 1))
     an = shapes_class.value(n)
     if an == 0:
         raise RangeError(f"{shapes_class.name} has no objects of size {n}")
-    exact = None if count is None else Fraction(count, an)
+    exact = None if cell.count is None else Fraction(cell.count(A, m, n), an)
 
     terms = []
-    total = Fraction(0)
     for k in range(r + 1):
         k_raw = p * k
         c = coefficients.entries(k_raw, m)
         shape = _term_shape(shapes_class, n, k_raw)
-        if construction == "set" and k >= 1:
-            value = -c * shape
-        else:
-            value = c * shape
+        value = (-c if cell.subtracts and k else c) * shape
         terms.append(ExpansionTerm(k=k_raw, coefficient=c, shape=shape, value=value))
-        total += value
+    total = sum((t.value for t in terms), Fraction(0))
 
     if exact is None:
         residual = normalized = None
@@ -373,7 +371,7 @@ def evaluate_partial_sum(
         exact_probability=exact,
         residual=residual,
         normalized_residual=normalized,
-        note=note,
+        note=cell.note.format(name=A.name),
     )
 
 

@@ -32,6 +32,28 @@ def rationals(max_num: int = 20, max_den: int = 12):
     )
 
 
+# The (construction, labeling) cells the construction rules admit, stated by
+# hand rather than read off the program's table, so tests against it stay an
+# independent check: seq takes either labeling, cyc labeled classes, and set
+# unlabeled classes with one part only.
+ADMITTED_CELLS = {
+    ("seq", "labeled"),
+    ("seq", "unlabeled"),
+    ("cyc", "labeled"),
+    ("set", "unlabeled"),
+}
+
+
+def construction_refusal(construction: str, labeling: str, m: int) -> str | None:
+    """The start of the message a construction rule refuses m parts of a class
+    of this labeling with (m >= 1), or None when the rules admit it."""
+    if (construction, labeling) not in ADMITTED_CELLS:
+        return f"--construction {construction}:"
+    if construction == "set" and m != 1:
+        return f"--m {m}:"
+    return None
+
+
 def run_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with the package on its path."""
     env = dict(os.environ)

@@ -23,6 +23,8 @@ from seqasym.errors import LeadingTermUndefined, RangeError, UnsupportedF
 from seqasym.reference_tables import REFERENCE_TABLES
 from seqasym.series import PowerSeries, counting_to_series, series_to_counting
 
+from conftest import construction_refusal
+
 
 # ---------------------------------------------------------------------------
 # sequence-construction coefficient tables
@@ -190,16 +192,6 @@ def test_set_construction_is_unlabeled_only(tournaments1):
         evaluate_partial_sum(P, 3, 20, 3, construction="set")
 
 
-def _refusal(construction, A, m):
-    """The start of the message a construction rule refuses with, or None."""
-    labeling = {"cyc": "labeled", "set": "unlabeled"}.get(construction, A.labeling)
-    if A.labeling != labeling:
-        return f"--construction {construction}:"
-    if construction == "set" and m != 1:
-        return f"--m {m}:"
-    return None
-
-
 BUILDERS = {"seq": seq_coefficients, "cyc": cyc_coefficients, "set": set_via_seq_coefficients}
 
 
@@ -210,7 +202,7 @@ def test_construction_rules_refuse_by_argument(construction, cls, m):
     """Each coefficient builder and evaluate_partial_sum either admit a
     (construction, class, m) or refuse it naming --construction or --m."""
     A = catalog.resolve_class(cls)
-    refusal = _refusal(construction, A, m)
+    refusal = construction_refusal(construction, A.labeling, m)
     calls = [
         lambda: BUILDERS[construction](A, m, 4),
         lambda: evaluate_partial_sum(A, m, 20, 3, construction=construction),

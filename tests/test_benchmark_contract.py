@@ -17,7 +17,7 @@ from click.testing import CliRunner
 
 import seqasym.cli
 import seqasym.oracle
-from seqasym.asymptotics import CoefficientTable
+from seqasym.asymptotics import CoefficientTable, ExpansionReport
 from seqasym.series import PowerSeries
 from seqasym.suites import ORACLE_GRID
 
@@ -65,8 +65,8 @@ def captured(harness):
             setattr(seqasym.cli, name, fn)
 
 
-def _table(*args):
-    res = CliRunner().invoke(seqasym.cli.main, ["table", *args, "--format", "json"])
+def _invoke(command, *args):
+    res = CliRunner().invoke(seqasym.cli.main, [command, *args, "--format", "json"])
     assert res.exit_code == 0, res.output
 
 
@@ -79,16 +79,46 @@ def _table(*args):
     ],
 )
 def test_table_reaches_the_builder_through_cli_globals(captured, construction, cls, label):
-    """A builder bound before the capture is installed would record nothing."""
-    _table("--class", cls, "--kind", "coefficients", "--construction", construction,
-           "--m", "1", "--k", "0..4")
-    assert [(type(r), r.construction) for r in captured] == [(CoefficientTable, label)]
+    """A builder or evaluation bound before the capture is installed would
+    record nothing; under cyc the shapes come from the derived cycle class."""
+    shapes_class = f"cyc({cls}(d=1))" if construction == "cyc" else f"{cls}(d=1)"
+    where = ["--class", cls, "--construction", construction, "--m", "1"]
+    builder = f"{label.replace('-', '_')}_coefficients"
+    _invoke("table", *where, "--kind", "coefficients", "--k", "0..4")
+    assert [(type(r), r.construction) for r in captured] == [(CoefficientTable, label)], (
+        f"table --construction {construction} must call cli.{builder} once and nothing else"
+    )
+    captured.clear()
+    _invoke("expansion", *where, "--n", "20", "--terms", "3")
+    got = [(type(r), r.construction, r.class_name) for r in captured]
+    assert got == [(ExpansionReport, construction, shapes_class)], (
+        f"expansion --construction {construction} must call cli.evaluate_partial_sum once"
+        " and no other captured name"
+    )
 
 
 def test_cycle_parts_capture_one_count_per_cell(captured):
-    _table("--class", "tournaments", "--construction", "cyc", "--kind", "parts",
-           "--m", "1..2", "--n", "1..3")
+    _invoke("table", "--class", "tournaments", "--construction", "cyc", "--kind", "parts",
+            "--m", "1..2", "--n", "1..3")
     assert [type(r) for r in captured] == [int] * 6
+
+
+SWEEP_JOBS = [j for j in _load("jobs").small_n_sweep() if j.args[0] in ("table", "expansion")]
+EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())["small-n-sweep"]
+
+
+@pytest.mark.parametrize("job", SWEEP_JOBS, ids=lambda job: job.key)
+def test_sweep_job_replays_its_recorded_digests(harness, captured, job):
+    """Every table and expansion job of the small-n sweep, run through the
+    harness's own run_job, gives the result and stdout digests recorded in
+    perfbench/expected.json, so a change of any number or byte fails here."""
+    worker, _ = harness
+    rec = worker.run_job(seqasym.cli.main, job, captured, None, 0)
+    want = EXPECTED[job.key]
+    assert rec["status"] == want["status"], rec["error"]
+    assert rec["ref_mismatches"] == 0
+    assert rec["digest"] == want["digest"], "result digest differs from the recorded one"
+    assert rec["out_digest"] == want["out_digest"], "stdout digest differs from the recorded one"
 
 
 def test_traced_worker_pass_sees_the_value_cache(tmp_path):

@@ -9,14 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqasym.asymptotics import CONSTRUCTIONS
-from seqasym.catalog import CATALOG_FACTORIES
+from seqasym.catalog import CATALOG_FACTORIES, resolve_class
 from seqasym.cli import main, parse_range
 from seqasym.errors import RangeError
 from seqasym.oracle import ORACLE_KINDS, object_count
 from seqasym.render import write_json
 from seqasym.suites import MEMBER_SUITES, ORACLE_GRID, SUITE_NAMES, Check, run_suite
 
-from conftest import reference_json, run_python
+from conftest import construction_refusal, reference_json, run_python
 
 
 @pytest.fixture()
@@ -274,13 +274,6 @@ def test_expansion_rejects_size_below_terms(runner):
     assert "need --n >= 10" in res.output
 
 
-def _admitted(construction, cls, m):
-    """Whether the construction rules admit m parts of a class: seq any class,
-    cyc labeled classes, set unlabeled classes at m = 1."""
-    labeled = cls == "tournaments"
-    return {"seq": True, "cyc": labeled, "set": not labeled and m == 1}[construction]
-
-
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("cls", ["tournaments", "permutations"])
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
@@ -288,12 +281,13 @@ def test_construction_rules_set_the_exit_code(runner, construction, cls, m):
     where = ["--class", cls, "--construction", construction, "--m", str(m)]
     table = invoke(runner, "table", *where, "--kind", "coefficients", "--k", "0..4")
     expansion = invoke(runner, "expansion", *where, "--n", "20", "--terms", "3")
+    refusal = construction_refusal(construction, resolve_class(cls).labeling, m)
     for res in (table, expansion):
-        if _admitted(construction, cls, m):
+        if refusal is None:
             assert res.exit_code == 0, res.stderr
         else:
             assert res.exit_code == 2
-            assert re.match(rf"RangeError: --(construction {construction}|m {m}):", res.stderr)
+            assert res.stderr.startswith(f"RangeError: {refusal}"), res.stderr
             assert res.stdout == ""
 
 
