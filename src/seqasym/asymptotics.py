@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalog import CountingSequence
-from .decomposition import first_part_counts, part_count, parts_table
+from .decomposition import cycle_counts, part_count, parts_table
 from .errors import LeadingTermUndefined, RangeError, UnsupportedF
 from .series import PowerSeries
 
@@ -389,15 +389,16 @@ def cyc_class(A_seq: CountingSequence) -> CountingSequence:
 
         c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k},
 
-    the first-part recurrence with weight C(n-1, k-1), offset 1: c_1..c_N come
-    from one :func:`first_part_counts` pass over a_0..a_N.  A cycle of parts
-    of sizes divisible by p has a size divisible by p, so the class keeps the
-    period of ``A_seq``.
+    and n·C(n-1, k-1) = k·C(n, k) turns it into a division through A on the
+    labeled weight C(n, k), for s_n = n·c_n: c_1..c_N come from one
+    :func:`cycle_counts` pass over a_0..a_N.  A cycle of parts of sizes
+    divisible by p has a size divisible by p, so the class keeps the period
+    of ``A_seq``.
     """
     _admit(A_seq, "cyc")
 
     def fill(n: int) -> list[int]:
-        c = first_part_counts(A_seq.values(n), 1)
+        c = cycle_counts(A_seq.values(n))
         c[0] = 1
         return c
 

@@ -22,56 +22,52 @@ and |u_k u_{n-k}| nonincreasing for 1 <= k < n/2 (first violation recorded).
 Either flag may be False for a sequence that is nonetheless gargantuan; the
 flags are evidence for a *sufficient* criterion, not for the property itself.
 
-The convolution traces and the midpoint test run on integers.  With L the
-lcm of the denominators of u_0..u_N, P_k = u_k·L and h_k = |P_k P_{n-k}|,
+Every audit runs on integers P_0..P_N, in one pass over n.  A class is
+audited on its own values, read with the stride p of its period:
+P_k = a_{pk}.  For a labeled class, u_k = a_{pk}/(pk)! and
 
-    S_{n,r} = (sum_{k=r}^{n-r} h_k) / (L·P_{n-r}),
+    u_k u_{n-k} = C(pn,pk)·P_k·P_{n-k} / (pn)!,
 
-summed by the symmetry h_k = h_{n-k}, and |u_k u_{n-k}| < |u_{k+1} u_{n-k-1}|
-is h_k < h_{k+1}, since the common factor L² cancels.  One pass over n shares
-the half products h_k (k <= n/2) between both; a Fraction is built only for
-each reported S_{n,r}, in lowest terms like every other trace value.
+so with the half products h_k = C(pn,pk)·|P_k P_{n-k}| (k <= n/2, summed
+by the symmetry h_k = h_{n-k})
 
-Both steps split off powers of two, which the reduced values of classes like
-tournaments (u_n = 2^C(n,2)/n!) carry in most of their bits.  With
+    S_{n,r} = (sum_{k=r}^{n-r} h_k) / ((pn)!/(p(n-r))!·P_{n-r}),
+    u_{n-1}/u_n = (pn)!/(p(n-1))!·P_{n-1}/P_n.
+
+The binomials are read off one Pascal row carried from n to n, on its
+first half j <= pn/2 only (pk <= pn/2 is all it reads).  An unlabeled class
+takes the same formulas with weight p = 0: no binomial, and every falling
+factorial is 1.  :func:`audit_sequence` takes reduced rationals u_k instead;
+with L the lcm of their denominators it audits P_k = u_k·L, also with
+p = 0, and S_{n,r} = (sum h_k) / (L·P_{n-r}).  In every form the midpoint
+test |u_k u_{n-k}| < |u_{k+1} u_{n-k-1}| is h_k < h_{k+1}, the common factor
+1/(pn)! or 1/L² cancelling, so one pass shares the h_k between both traces.
+The first P_n = 0 ends the audit: its ratio trace stops at n-1, where the
+ratios become undefined, and the verdict is ``visibly-failing``.
+
+Every step splits off powers of two, which the values of classes like
+tournaments (a_n = 2^C(n,2)) carry in most of their bits.  With
 |P_k| = o_k·2^{t_k}, o_k odd (t_k = 0 when P_k = 0, as u_0 may be), each half
-product is h_k = (o_k·o_{n-k}) << (t_k + t_{n-k}), a product of the odd parts
-only.  Before each S_{n,r} is built, the numerator and the denominator
-L·P_{n-r} lose their powers of two separately; the gcd runs on the odd parts,
-and the power 2^e of the difference goes back into the numerator (e > 0) or
-the denominator (e < 0) of the reduced fraction.  That one gcd is the only
-one: the fraction is then in lowest terms, and the ``Fraction`` is built
-from it without normalising again, where ``Fraction(p, q)`` would take a
-second gcd of the full values.
+product is a product of the odd parts, shifted.  Before each trace value is
+built, its numerator and denominator lose their powers of two separately;
+the gcd runs on the odd parts, and the power 2^e of the difference goes
+back into the numerator (e > 0) or the denominator (e < 0) of the reduced
+fraction.  That one gcd is the only one: the fraction is then in lowest
+terms, and the ``Fraction`` is built from it without normalising again,
+where ``Fraction(p, q)`` would take a second gcd of the full values.
 
-A labeled class whose reduced values u_k = a_{pk}/(pk)! are not all
-integers (tournaments, the raw labeled matchings, most labeled custom files)
-is audited on its own integers a_{pk} instead, and L never forms.  Since
-
-    u_k u_{n-k} = C(pn,pk)·a_{pk}·a_{p(n-k)} / (pn)!,
-
-the half products are h_k = C(pn,pk)·|a_{pk} a_{p(n-k)}|, with the
-binomials read off one Pascal row carried from n to n, on its first half
-j <= pn/2 only (pk <= pn/2 is all it reads), and the same 2-adic split of
-the a_{pk}; the midpoint test is again h_k < h_{k+1}, the common
-factor 1/(pn)! cancelling, and
-
-    S_{n,r} = (sum_{k=r}^{n-r} h_k) / ((pn)!/(p(n-r))!·a_{p(n-r)}),
-    u_{n-1}/u_n = (pn)!/(p(n-1))!·a_{p(n-1)}/a_{pn}.
-
-The falling factorial (pn)!/(p(n-r))! has a few dozen bits where L has
-thousands.  On tournaments, a_n = (d+1)^C(n,2): for d = 1 every a_n is a
-power of two, so each h_k is a shifted binomial and the odd part of each
-denominator is that of the falling factorial alone.  On a 2-vCPU VM (best
-of 7 runs alternating with the reduced form in one process) the audit of
-tournaments(1) at N = 240 took 24 ms instead of 95 ms, and of tournaments(2)
-at N = 120 39 ms instead of 48 ms.  The raw labeled matchings (p = 2) took
-5.1–5.4 ms at N = 120, as in the reduced form (5.1 ms); with the whole
-Pascal row carried, four times the entries they read, they took 5.8–6.3 ms
-(best of 15, three runs).  Unlabeled classes, labeled classes whose reduced
-values are integers (linear orders, linear matchings: the quotients are
-audited as they are, with L = 1), a labeled class with a zero on its
-support, and every caller of :func:`audit_sequence` keep the reduced form.
+A labeled class never forms L: the falling factorial (pn)!/(p(n-r))! has a
+few dozen bits where L has thousands.  On tournaments, a_n = (d+1)^C(n,2):
+for d = 1 every a_n is a power of two, so each h_k is a shifted binomial
+and the odd part of each denominator is that of the falling factorial
+alone.  On a 2-vCPU VM (best of 7 runs alternating with the reduced form in
+one process) the audit of tournaments(1) at N = 240 took 24 ms instead of
+95 ms, and of tournaments(2) at N = 120 39 ms instead of 48 ms.  A class
+whose reduced values are integers pays the (pn)! inside each h_k: linear
+matchings at N = 120 took 8.3 ms instead of 4.2 ms in the reduced form (best
+of 15, alternating in one process).  The reduced form stays for the callers
+of :func:`audit_sequence`: the closure and perturbation checks, whose
+sequences are no class's counts.
 """
 
 from __future__ import annotations
@@ -134,34 +130,14 @@ def reduced_values(A: CountingSequence, N: int) -> list[Fraction]:
 def audit_sequence(
     name: str, values: Sequence[Rational], N: int, r_max: int = 3
 ) -> AuditReport:
-    """Audit an already-reduced sequence u_0..u_N (exact rationals)."""
+    """Audit an already-reduced sequence u_0..u_N (exact rationals) in the
+    reduced form, on P_k = u_k·L."""
     _check_range(N, r_max)
     if len(values) < N + 1:
         raise RangeError(f"need values up to index {N}, got {len(values)}")
     u = [Fraction(v) for v in values[: N + 1]]
-
-    if any(x == 0 for x in u[1:]):
-        first = next(n for n in range(1, N + 1) if u[n] == 0)
-        return AuditReport(
-            class_name=name,
-            N=N,
-            r_max=r_max,
-            ratio_trace=tuple(
-                u[n - 1] / u[n] for n in range(1, first) if u[n] != 0
-            ),
-            convolution_trace={},
-            ratio_linear_bound=False,
-            ratio_linear_witness=Fraction(0),
-            midpoint_monotone=False,
-            midpoint_first_violation=None,
-            verdict="visibly-failing",
-            notes=(f"u_{first} = 0: ratios undefined past n={first - 1}",),
-        )
-
-    ratios = tuple(u[n - 1] / u[n] for n in range(1, N + 1))
     L = lcm(*(x.denominator for x in u))
-    P = [x.numerator * (L // x.denominator) for x in u]
-    return _report(name, N, r_max, ratios, P, p=0, L=L)
+    return _report(name, N, r_max, [x.numerator * (L // x.denominator) for x in u], 0, L)
 
 
 def _check_range(N: int, r_max: int) -> None:
@@ -171,30 +147,27 @@ def _check_range(N: int, r_max: int) -> None:
         raise RangeError("r_max must be >= 1")
 
 
-def _audit_labeled(name: str, a: Sequence[int], p: int, N: int, r_max: int) -> AuditReport:
-    """Audit u_k = a_{pk}/(pk)! on the integers a = [a_0, a_p, ..., a_{pN}],
-    none of a_p..a_{pN} zero (see the module docstring)."""
-    ratios = []
-    for n in range(1, N + 1):  # u_{n-1}/u_n = (pn)!/(p(n-1))! · a_{p(n-1)}/a_{pn}
-        e = _twos(a[n])
-        ratios.append(_fraction(prod(range(p * n - p + 1, p * n + 1)) * a[n - 1], a[n] >> e, e))
-    return _report(name, N, r_max, tuple(ratios), a, p=p, L=1)
+def _report(name: str, N: int, r_max: int, P: Sequence[int], p: int, L: int) -> AuditReport:
+    """The audit of the integers P_0..P_N (see the module docstring): with
+    p >= 1 the labeled form, P_k = a_{pk} (L = 1); with p = 0 an unlabeled
+    class (L = 1) or the reduced form, P_k = u_k·L."""
+    ratios: list[Fraction] = []
+    for n in range(1, N + 1):  # u_{n-1}/u_n = (pn)!/(p(n-1))!·P_{n-1}/P_n
+        if not P[n]:
+            return AuditReport(
+                class_name=name,
+                N=N,
+                r_max=r_max,
+                ratio_trace=tuple(ratios),
+                convolution_trace={},
+                ratio_linear_bound=False,
+                midpoint_monotone=False,
+                verdict="visibly-failing",
+                notes=(f"u_{n} = 0: ratios undefined past n={n - 1}",),
+            )
+        e = _twos(P[n])
+        ratios.append(_fraction(prod(range(p * n - p + 1, p * n + 1)) * P[n - 1], P[n] >> e, e))
 
-
-def _report(
-    name: str,
-    N: int,
-    r_max: int,
-    ratios: tuple[Fraction, ...],
-    P: Sequence[int],
-    p: int,
-    L: int,
-) -> AuditReport:
-    """The flags, traces and verdict of an audit whose ratio trace is known.
-
-    The traces run on the integers P_0..P_N: with p = 0 the reduced form,
-    P_k = u_k·L; with p >= 1 the labeled form, P_k = a_{pk} (L = 1).
-    """
     # Sufficient-condition flags (Lemma-style, over the whole range).
     linear = [n * ratios[n - 1] for n in range(1, N + 1)]
     witness = max(linear)
@@ -254,7 +227,7 @@ def _report(
         class_name=name,
         N=N,
         r_max=r_max,
-        ratio_trace=ratios,
+        ratio_trace=tuple(ratios),
         convolution_trace=conv,
         ratio_linear_bound=linear_ok,
         ratio_linear_witness=witness,
@@ -304,30 +277,16 @@ numbers.Rational.register(_Reduced)
 
 
 def audit(A: CountingSequence, N: int, r_max: int = 3) -> AuditReport:
-    """Audit a catalog or custom class on its reduced (reindexed) sequence.
+    """Audit a catalog or custom class on its own values a_{pk}, read with
+    the stride p of its period; a labeled class weighs them by C(pn,pk).
 
-    A labeled class whose reduced values are not all integers, and none of
-    whose values on the support is zero, is audited on its own integers
-    a_{pk}; any other class on its reduced values (see the module docstring).
+    Every class takes this one route; the reduced form is kept for the
+    callers of :func:`audit_sequence` (see the module docstring).
     """
     _check_range(N, r_max)
-    name = A.name if A.period == 1 else f"{A.name}[/{A.period}]"
-    if A.labeling == "labeled":
-        p = A.period
-        a = A.values(p * N)[::p]
-        u = [a[0]]
-        f = 1  # (pk)!
-        for k in range(1, N + 1):
-            f *= prod(range(p * k - p + 1, p * k + 1))
-            q, rest = divmod(a[k], f)
-            if rest:
-                break
-            u.append(q)
-        else:
-            return audit_sequence(name, u, N, r_max)
-        if all(a[1:]):
-            return _audit_labeled(name, a, p, N, r_max)
-    return audit_sequence(name, reduced_values(A, N), N, r_max)
+    p = A.period
+    name = A.name if p == 1 else f"{A.name}[/{p}]"
+    return _report(name, N, r_max, A.values(p * N)[::p], p if A.labeling == "labeled" else 0, 1)
 
 
 def product_closure_check(

@@ -342,16 +342,17 @@ def cmd_verify(suite, budget, workers, fmt):
             "failures": n_fail,
             "skipped": n_skip,
         }
-        if fmt == "json":
-            write_json(config, result)
-        else:
+
+        def human() -> str:
             marker = {"ok": "ok  ", "fail": "FAIL", "skip": "skip"}
-            for c in checks:
-                detail = f" — {c.detail}" if c.detail else ""
-                click.echo(f"{marker[c.status]} {c.name}{detail}")
-            click.echo(
-                f"suite {suite}: {n_ok} ok, {n_fail} failed, {n_skip} skipped"
-            )
+            lines = [
+                f"{marker[c.status]} {c.name}" + (f" — {c.detail}" if c.detail else "")
+                for c in checks
+            ]
+            lines.append(f"suite {suite}: {n_ok} ok, {n_fail} failed, {n_skip} skipped")
+            return "\n".join(lines)
+
+        _emit(fmt, config, result, human)
         click.echo(f"elapsed: {elapsed:.3f}s", err=True)
         if n_fail:
             sys.exit(1)

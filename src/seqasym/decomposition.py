@@ -22,9 +22,15 @@ object, :func:`first_part_counts`:
 
     b_n = a_n - sum_{k=1}^{n-1} C(n,k) b_k a_{n-k},      B = (A - 1)/A = 1 - 1/A.
 
-:func:`first_part_counts` also evaluates the cycle-class recurrence with
-weight C(n-1,k-1); both weights are C(n - offset, k - offset), with offset 0
-and 1.
+The cycle class C = 1 + log A of a labeled A is one more division through
+A.  Differentiating gives A' = C'A, whose coefficients are
+
+    c_n = a_n - sum_{k=1}^{n-1} C(n-1,k-1) c_k a_{n-k},
+
+and since n·C(n-1,k-1) = k·C(n,k), s_n = n·c_n is the recurrence with the
+labeled weight and f_n = n·a_n.  :func:`cycle_counts` divides it through A
+and returns c_n = s_n/n, an exact division, so the weight is always C(n,k)
+or 1.
 
 At a dense size n it visits every k in one loop.  The binomials come from
 one Pascal row carried from size to size: in that loop each C(n-1,k)
@@ -112,6 +118,7 @@ from .series import PowerSeries, counting_to_series, series_to_counting
 
 __all__ = [
     "PartsTable",
+    "cycle_counts",
     "first_part_counts",
     "irreducible_counts",
     "irreducible_series",
@@ -134,21 +141,31 @@ def irreducible_counts(A: CountingSequence, n_max: int) -> list[int]:
     a = A.values(n_max)
     if a[0] != 1:
         raise BadConstantTerm(f"{A.name}: a_0 must be 1, got {a[0]}")
-    return first_part_counts(a, 0 if A.labeling == "labeled" else None)
+    return first_part_counts(a, A.labeling == "labeled")
 
 
-def first_part_counts(a: Sequence[int], offset: int | None) -> list[int]:
+def first_part_counts(a: Sequence[int], labeled: bool) -> list[int]:
     """x_0 = 0 and x_n = a_n - sum_{k=1}^{n-1} w(n,k) x_k a_{n-k} for n >= 1.
 
-    The weight is w(n,k) = C(n - offset, k - offset): ``offset`` 0 gives the
-    labeled first-part recurrence, 1 the cycle-class one, and None the
-    unlabeled w = 1.  It is :func:`_divide` with the left-hand side f = a.
-    Dense sizes read the binomials off a Pascal row carried from size to size
-    and sum in Horner form when the input's ratios are integers; sparse sizes
-    sum over the nonzero x_k alone (see the module docstring).  All give the
-    same values as the term-by-term loop.
+    The weight is w(n,k) = C(n,k) when ``labeled``, else 1.  It is
+    :func:`_divide` with the left-hand side f = a.  Dense sizes read the
+    binomials off a Pascal row carried from size to size and sum in Horner
+    form when the input's ratios are integers; sparse sizes sum over the
+    nonzero x_k alone (see the module docstring).  All give the same values
+    as the term-by-term loop.
     """
-    return _divide(a, offset, a, *_ratios(a))
+    return _divide(a, labeled, a, *_ratios(a))
+
+
+def cycle_counts(a: Sequence[int]) -> list[int]:
+    """c_0 = 0 and c_n = a_n - sum_{k=1}^{n-1} C(n-1,k-1) c_k a_{n-k} for n >= 1,
+    the counts of size n >= 1 of the cycle class 1 + log A of a labeled A.
+
+    s_n = n·c_n is :func:`_divide` with the labeled weight and f_n = n·a_n,
+    and c_n = s_n/n exactly (see the module docstring).
+    """
+    s = _divide(a, True, [n * v for n, v in enumerate(a)], *_ratios(a))
+    return [0] + [s[n] // n for n in range(1, len(s))]
 
 
 def _ratios(a: Sequence[int]) -> tuple[list[int] | None, list[int | None]]:
@@ -166,7 +183,7 @@ def _ratios(a: Sequence[int]) -> tuple[list[int] | None, list[int | None]]:
 
 def _divide(
     a: Sequence[int],
-    offset: int | None,
+    labeled: bool,
     f: Sequence[int],
     ratio: list[int] | None,
     shift: list[int | None],
@@ -174,27 +191,28 @@ def _divide(
     """x_0 = 0 and x_n = f_n - sum_{k=1}^{n-1} w(n,k) x_k a_{n-k} for n >= 1,
     with ``ratio, shift = _ratios(a)``.
 
-    With offset 0 or None and a_0 = 1, x·A = F - f_0 in the ring of A: f = a
-    gives B = 1 - 1/A, and f = B^m (m >= 1, so f_0 = 0) gives B^m/A.
+    The weight is w(n,k) = C(n,k) when ``labeled``, else 1.  With a_0 = 1,
+    x·A = F - f_0 in the ring of A: f = a gives B = 1 - 1/A, and f = B^m
+    (m >= 1, so f_0 = 0) gives B^m/A.
     """
-    # row[k] = w(m,k) for k <= m, where m = len(row) - 1 is the last dense size
-    row: list[int] | None = None if offset is None else []
+    # row[k] = C(m,k) for k <= m, where m = len(row) - 1 is the last dense size
+    row: list[int] | None = [] if labeled else None
     x = [0] * len(a)
     nonzero: list[int] = []  # the k < n with x_k != 0
     for n in range(1, len(a)):
         if 8 * len(nonzero) <= n:  # n - 1 steps would cost more than the few terms
-            x[n] = f[n] - _dot(x, a, n, offset, nonzero)
+            x[n] = f[n] - _dot(x, a, n, labeled, nonzero)
         else:
             if row is not None and len(row) != n:  # a sparse size left the row behind
-                row = _pascal_row(n - 1, offset)
+                row = _pascal_row(n - 1)
             t = 0
-            prev = row[0] if row else 0
+            prev = 1  # C(n-1, 0)
             if ratio is not None:  # Horner: t ends as sum_k y_k a_{n-k} / a_1
                 for k in range(1, n):
                     j = n - k + 1
                     s = shift[j]
                     t = t * ratio[j] if s is None else t << s
-                    if row is not None:  # w(n-1,k) -> w(n,k) by Pascal's rule
+                    if row is not None:  # C(n-1,k) -> C(n,k) by Pascal's rule
                         c = row[k]
                         row[k] = c + prev
                         prev = c
@@ -217,12 +235,11 @@ def _divide(
     return x
 
 
-def _pascal_row(m: int, offset: int) -> list[int]:
-    """[C(m - offset, k - offset) for k = 0..m], for m >= offset >= 0."""
-    top = m - offset
-    row = [0] * offset + [1]
-    for i in range(1, top + 1):
-        row.append(row[-1] * (top - i + 1) // i)
+def _pascal_row(m: int) -> list[int]:
+    """[C(m, k) for k = 0..m]."""
+    row = [1]
+    for i in range(1, m + 1):
+        row.append(row[-1] * (m - i + 1) // i)
     return row
 
 
@@ -230,17 +247,17 @@ def _dot(
     f: Sequence[int],
     g: Sequence[int],
     n: int,
-    offset: int | None,
+    labeled: bool,
     ks: Iterable[int],
 ) -> int:
-    """sum_{k in ks} w(n,k) f_k g_{n-k}, with w(n,k) = C(n - offset, k - offset),
-    or w = 1 when ``offset`` is None.
+    """sum_{k in ks} w(n,k) f_k g_{n-k}, with w(n,k) = C(n,k) when ``labeled``,
+    else 1.
 
     A plain loop: with ``sum`` over a generator, the one-term sums of the
     sparse sizes of linear orders took 0.75 ms instead of 0.53 ms at n = 500."""
     acc = 0
     for k in ks:
-        acc += (f[k] if offset is None else comb(n - offset, k - offset) * f[k]) * g[n - k]
+        acc += (comb(n, k) * f[k] if labeled else f[k]) * g[n - k]
     return acc
 
 
@@ -297,11 +314,11 @@ def parts_table(A: CountingSequence, m_max: int, n_max: int) -> PartsTable:
     rows = [[1] + [0] * n_max, b]
     if m_max >= 2:
         a = A.values(n_max)
-        offset = 0 if A.labeling == "labeled" else None
+        labeled = A.labeling == "labeled"
         ratios = _ratios(a)  # taken once for every row
         while len(rows) <= m_max:  # B^(m+1) = B^m - B^m/A
             row = rows[-1]
-            rows.append([v - y for v, y in zip(row, _divide(a, offset, row, *ratios))])
+            rows.append([v - y for v, y in zip(row, _divide(a, labeled, row, *ratios))])
     return PartsTable(
         class_name=A.name,
         labeling=A.labeling,
@@ -325,7 +342,7 @@ def part_count(A: CountingSequence, m: int, n: int) -> int:
     table = parts_table(A, max(m - 1, 1), n)
     row, b = table.row(m - 1), table.row(1)
     ks = [k for k in range(n + 1) if row[k] and b[n - k]]
-    return _dot(row, b, n, 0 if A.labeling == "labeled" else None, ks)
+    return _dot(row, b, n, A.labeling == "labeled", ks)
 
 
 # ---------------------------------------------------------------------------

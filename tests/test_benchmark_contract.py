@@ -103,18 +103,29 @@ def test_cycle_parts_capture_one_count_per_cell(captured):
     assert [type(r) for r in captured] == [int] * 6
 
 
-SWEEP_JOBS = [j for j in _load("jobs").small_n_sweep() if j.args[0] in ("table", "expansion")]
-EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())["small-n-sweep"]
+_JOBS = _load("jobs")
+# every small-n-sweep job, the oracle-grid job and the large-n audits: none
+# takes more than a fraction of a second
+REPLAYED = [
+    pytest.param(workload, job, id=job.key)
+    for workload, jobs in [
+        ("small-n-sweep", _JOBS.small_n_sweep()),
+        ("oracle-grid", _JOBS.ORACLE_GRID),
+        ("large-n", [j for j in _JOBS.LARGE_N if j.args[0] == "audit"]),
+    ]
+    for job in jobs
+]
+EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
 
 
-@pytest.mark.parametrize("job", SWEEP_JOBS, ids=lambda job: job.key)
-def test_sweep_job_replays_its_recorded_digests(harness, captured, job):
-    """Every table and expansion job of the small-n sweep, run through the
-    harness's own run_job, gives the result and stdout digests recorded in
+@pytest.mark.parametrize("workload, job", REPLAYED)
+def test_sweep_job_replays_its_recorded_digests(harness, captured, workload, job):
+    """Each replayed job, run through the harness's own run_job, gives the
+    exit status and the result and stdout digests recorded in
     perfbench/expected.json, so a change of any number or byte fails here."""
     worker, _ = harness
     rec = worker.run_job(seqasym.cli.main, job, captured, None, 0)
-    want = EXPECTED[job.key]
+    want = EXPECTED[workload][job.key]
     assert rec["status"] == want["status"], rec["error"]
     assert rec["ref_mismatches"] == 0
     assert rec["digest"] == want["digest"], "result digest differs from the recorded one"

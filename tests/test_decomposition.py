@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqasym import catalog, decomposition
+from seqasym.asymptotics import cyc_class
 from seqasym.decomposition import (
     first_part_counts,
     irreducible_counts,
@@ -63,8 +64,15 @@ def _rows_by_convolution(b: Sequence[int], m_max: int, labeled: bool) -> list[li
 
 
 def _rooted(n: int, k: int) -> int:
-    """The cycle-class weight C(n-1, k-1), which ``first_part_counts`` takes as offset 1."""
+    """The cycle-class weight C(n-1, k-1)."""
     return comb(n - 1, k - 1)
+
+
+def _cycles(a: Sequence[int]) -> list[int]:
+    """c_0 = 0 and c_1..c_n of the cycle class of the labeled class a_0..a_n,
+    as ``cyc_class`` computes them: to compare with the plain loop on
+    ``_rooted``."""
+    return [0] + cyc_class(catalog.custom(a, "labeled")).values(len(a) - 1)[1:]
 
 
 def test_convolve_weights():
@@ -214,7 +222,7 @@ def test_shifted_recurrence_on_mixed_values(tail, labeling):
     assert irreducible_counts(A, len(tail)) == _first_part_plain(
         a, comb if labeling == "labeled" else None
     )
-    assert first_part_counts(a, 1) == _first_part_plain(a, _rooted)
+    assert _cycles(a) == _first_part_plain(a, _rooted)
 
 
 _RATIO = st.one_of(
@@ -247,7 +255,7 @@ def test_horner_matches_plain_loop_and_series(ratios, geometric, trailing_zero, 
     A = catalog.custom(a, labeling, name="ratios")
     b = irreducible_counts(A, n)
     assert b == _first_part_plain(a, comb if labeling == "labeled" else None)
-    assert first_part_counts(a, 1) == _first_part_plain(a, _rooted)
+    assert _cycles(a) == _first_part_plain(a, _rooted)
     assert b == list(series_to_counting(irreducible_series(A, n), labeling))
     if geometric:
         assert b[:17] == [0, ratios[0]] + [0] * 15
@@ -257,7 +265,7 @@ def test_horner_matches_plain_loop_and_series(ratios, geometric, trailing_zero, 
 def test_horner_and_plain_loop_agree_on_the_catalog(A):
     a = A.values(60)
     labeled = A.labeling == "labeled"
-    assert first_part_counts(a, 0 if labeled else None) == _first_part_plain(
+    assert first_part_counts(a, labeled) == _first_part_plain(
         a, comb if labeled else None
     )
 
@@ -268,39 +276,40 @@ def test_horner_and_plain_loop_agree_on_the_catalog(A):
     ids=lambda A: A.name,
 )
 def test_cycle_weight_matches_plain_loop_on_the_catalog(A):
-    """Offset 1 reads C(n-1, k-1) off the Pascal row at the Horner sizes."""
+    """The cycle class, divided through A on the row of C(n, k) at the
+    Horner sizes, gives the counts of the C(n-1, k-1) recurrence."""
     a = A.values(60)
-    assert first_part_counts(a, 1) == _first_part_plain(a, _rooted)
+    assert _cycles(a) == _first_part_plain(a, _rooted)
 
 
 @pytest.mark.parametrize(
-    "a, offset",
+    "a, weight",
     [
         # n!·c_n with c_n = 1 up to 15, then doubling: b = z through n = 15,
         # so sizes 8..17 are sparse and the dense sizes resume at 18
-        ([factorial(n) << max(n - 15, 0) for n in range(41)], 0),
+        ([factorial(n) << max(n - 15, 0) for n in range(41)], comb),
         # the same, with a last value that leaves a ratio non-integer: the
         # dense sizes sum directly instead of in Horner form
-        ([factorial(n) << max(n - 15, 0) for n in range(40)] + [1], 0),
-        # a_n = c_n with the cycle weight: A = e^z through n = 15, so the
+        ([factorial(n) << max(n - 15, 0) for n in range(40)] + [1], comb),
+        # the cycle class of a_n = c_n: A = e^z through n = 15, so the
         # cycle counts are z there and the dense sizes again resume at 18
-        ([1 << max(n - 15, 0) for n in range(41)], 1),
+        ([1 << max(n - 15, 0) for n in range(41)], _rooted),
     ],
     ids=["horner", "direct", "cycle"],
 )
-def test_pascal_row_rebuilt_after_sparse_sizes(monkeypatch, a, offset):
+def test_pascal_row_rebuilt_after_sparse_sizes(monkeypatch, a, weight):
     """Dense sizes that follow sparse sizes rebuild the row the sparse sizes
     left behind, and agree with the plain loop."""
     sizes = []
     pascal_row = decomposition._pascal_row
 
-    def counting(m, off):
+    def counting(m):
         sizes.append(m + 1)
-        return pascal_row(m, off)
+        return pascal_row(m)
 
     monkeypatch.setattr(decomposition, "_pascal_row", counting)
-    weight = comb if offset == 0 else _rooted
-    assert first_part_counts(a, offset) == _first_part_plain(a, weight)
+    got = first_part_counts(a, True) if weight is comb else _cycles(a)
+    assert got == _first_part_plain(a, weight)
     assert sizes == [2, 18]
 
 
