@@ -62,12 +62,14 @@ for d = 1 every a_n is a power of two, so each h_k is a shifted binomial
 and the odd part of each denominator is that of the falling factorial
 alone.  On a 2-vCPU VM (best of 7 runs alternating with the reduced form in
 one process) the audit of tournaments(1) at N = 240 took 24 ms instead of
-95 ms, and of tournaments(2) at N = 120 39 ms instead of 48 ms.  A class
-whose reduced values are integers pays the (pn)! inside each h_k: linear
-matchings at N = 120 took 8.3 ms instead of 4.2 ms in the reduced form (best
-of 15, alternating in one process).  The reduced form stays for the callers
-of :func:`audit_sequence`: the closure and perturbation checks, whose
-sequences are no class's counts.
+95 ms, and of tournaments(2) at N = 120 39 ms instead of 48 ms.  When every
+(pk)! divides P_k (linear orders, linear matchings: the reduced values are
+integers), the weight C(pn,pk)·(pk)!·(p(n-k))! = (pn)! is the same for every
+h_k and divides the scale c, so it cancels: the pass runs on the quotients
+u_k with p = 0 and carries no (pn)! (linear matchings at N = 240: 14 ms, where
+the weighted pass took 47 ms, best of 15 on the same VM).  The reduced form
+stays for the callers of :func:`audit_sequence`: the closure and
+perturbation checks, whose sequences are no class's counts.
 """
 
 from __future__ import annotations
@@ -149,8 +151,20 @@ def _check_range(N: int, r_max: int) -> None:
 
 def _report(name: str, N: int, r_max: int, P: Sequence[int], p: int, L: int) -> AuditReport:
     """The audit of the integers P_0..P_N (see the module docstring): with
-    p >= 1 the labeled form, P_k = a_{pk} (L = 1); with p = 0 an unlabeled
-    class (L = 1) or the reduced form, P_k = u_k·L."""
+    p >= 1 the labeled form, P_k = a_{pk} (L = 1), on u_k = P_k/(pk)! when
+    those are all integers; with p = 0 an unlabeled class (L = 1) or the
+    reduced form, P_k = u_k·L."""
+    if p:  # when every (pk)! divides P_k, the (pn)! that every h_k and the
+        # scale c share cancels: audit the quotients u_k with weight p = 0
+        u, f = [P[0]], 1
+        for k in range(1, N + 1):
+            f *= prod(range(p * k - p + 1, p * k + 1))
+            q, rest = divmod(P[k], f)
+            if rest:
+                break
+            u.append(q)
+        else:
+            P, p = u, 0
     ratios: list[Fraction] = []
     for n in range(1, N + 1):  # u_{n-1}/u_n = (pn)!/(p(n-1))!·P_{n-1}/P_n
         if not P[n]:

@@ -141,10 +141,10 @@ def irreducible_counts(A: CountingSequence, n_max: int) -> list[int]:
     a = A.values(n_max)
     if a[0] != 1:
         raise BadConstantTerm(f"{A.name}: a_0 must be 1, got {a[0]}")
-    return first_part_counts(a, A.labeling == "labeled")
+    return first_part_counts(a, labeled=A.labeling == "labeled")
 
 
-def first_part_counts(a: Sequence[int], labeled: bool) -> list[int]:
+def first_part_counts(a: Sequence[int], *, labeled: bool) -> list[int]:
     """x_0 = 0 and x_n = a_n - sum_{k=1}^{n-1} w(n,k) x_k a_{n-k} for n >= 1.
 
     The weight is w(n,k) = C(n,k) when ``labeled``, else 1.  It is

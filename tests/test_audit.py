@@ -223,6 +223,34 @@ def test_integer_traces_match_fraction_reference(A, N):
 
 
 @st.composite
+def _labeled_values(draw):
+    """(a_0..a_{pN}, p, N) of a labeled custom class: a_{pk} = (pk)!·u_k with
+    drawn integers u_k, or drawn a_{pk} with an odd a_2, so u_2 = a_2/2 is
+    not an integer."""
+    p = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(10, 16))
+    support = draw(st.lists(st.integers(1, 10**6), min_size=N, max_size=N))
+    whole = draw(st.booleans())
+    if not whole:
+        support[2 // p - 1] |= 1
+    a = [1]
+    for n in range(1, p * N + 1):
+        a.append(0 if n % p else support[n // p - 1] * (factorial(n) if whole else 1))
+    return a, p, N
+
+
+@settings(max_examples=60, deadline=None)
+@given(_labeled_values(), st.integers(1, 5))
+def test_labeled_audit_matches_fraction_reference(drawn, r_max):
+    """Labeled classes audited on their own integers, and those whose reduced
+    values are integers, give the reference report."""
+    a, p, N = drawn
+    A = catalog.custom(a, "labeled", p, name="drawn")
+    rep = audit(A, N, r_max)
+    assert rep == fraction_reference(rep.class_name, reduced_values(A, N), N, r_max)
+
+
+@st.composite
 def _custom_classes(draw):
     """(A, N, zero) for a labeled or unlabeled class of period 1..3 on drawn
     values a_{pk}, or a_{pk} = (pk)!·u_k with drawn integers u_k (labeled),
@@ -248,17 +276,24 @@ def _custom_classes(draw):
 def test_custom_class_audit_matches_its_reduced_values(drawn, r_max):
     """audit() reads a class of any labeling and period on its own values;
     without a zero it gives the reference report of the reduced values, and
-    with one the report of those values, whose ratio trace stops before it."""
+    with one a failing report whose ratio trace stops before the zero."""
     A, N, zero = drawn
     rep = audit(A, N, r_max)
     u = reduced_values(A, N)
     if zero is None:
         assert rep == fraction_reference(rep.class_name, u, N, r_max)
     else:
-        assert rep == audit_sequence(rep.class_name, u, N, r_max)
-        assert rep.ratio_trace == tuple(u[n - 1] / u[n] for n in range(1, zero))
-        assert rep.notes == (f"u_{zero} = 0: ratios undefined past n={zero - 1}",)
-        assert rep.verdict == "visibly-failing"
+        assert rep == AuditReport(
+            class_name=rep.class_name,
+            N=N,
+            r_max=r_max,
+            ratio_trace=tuple(u[n - 1] / u[n] for n in range(1, zero)),
+            convolution_trace={},
+            ratio_linear_bound=False,
+            midpoint_monotone=False,
+            verdict="visibly-failing",
+            notes=(f"u_{zero} = 0: ratios undefined past n={zero - 1}",),
+        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -265,7 +265,7 @@ def test_horner_matches_plain_loop_and_series(ratios, geometric, trailing_zero, 
 def test_horner_and_plain_loop_agree_on_the_catalog(A):
     a = A.values(60)
     labeled = A.labeling == "labeled"
-    assert first_part_counts(a, labeled) == _first_part_plain(
+    assert first_part_counts(a, labeled=labeled) == _first_part_plain(
         a, comb if labeled else None
     )
 
@@ -308,7 +308,7 @@ def test_pascal_row_rebuilt_after_sparse_sizes(monkeypatch, a, weight):
         return pascal_row(m)
 
     monkeypatch.setattr(decomposition, "_pascal_row", counting)
-    got = first_part_counts(a, True) if weight is comb else _cycles(a)
+    got = first_part_counts(a, labeled=True) if weight is comb else _cycles(a)
     assert got == _first_part_plain(a, weight)
     assert sizes == [2, 18]
 
