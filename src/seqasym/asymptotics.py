@@ -316,10 +316,12 @@ def evaluate_partial_sum(
     ``r`` is the number of correction terms: the partial sum runs over
     k = 0..r on the expansion index, which steps by the period under seq on
     a labeled periodic class and by 1 in every other cell (under cyc on a
-    periodic class too, a known gap: ROADMAP item 1).  Each call builds its
-    own coefficient table up to the first omitted term.  The exact law is
-    the cell's m-part count at size n — an independent computation — so
-    residual = exact - partial is an identity of rationals.  The normalized
+    periodic class too, a known gap: ROADMAP item 1).  Each call reads its
+    coefficient table, up to the first omitted term, off the part-count rows
+    kept on ``A``, so calls on one instance divide each size of each row
+    once.  The exact law is the cell's m-part count at size n — an
+    independent computation — so residual = exact - partial is an identity
+    of rationals.  The normalized
     residual divides by the shape of the first omitted term; it is None when
     that shape is 0.  The set cell's partial sum is 1 - sum d_k * shape_k
     and it has no exact law (inverting the multiset construction is out of

@@ -54,9 +54,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import BadConstantTerm, NegativeCount, PeriodMismatch, RangeError, SeqasymError
+
+if TYPE_CHECKING:
+    from .decomposition import _PartRows
 
 __all__ = [
     "CountingSequence",
@@ -87,6 +90,14 @@ class CountingSequence:
     a_0..a_n, and a miss at n caches them all, so the cache always holds a
     prefix.  Instances are immutable by convention: the filler must be pure,
     and the internal cache only ever grows, so concurrent readers are safe.
+
+    A second store, ``_parts``, keeps the part-count rows b^(1), b^(2), ...
+    that :mod:`seqasym.decomposition` has divided for this instance, so the
+    many tables one command asks of a class divide each size of each row
+    once.  It starts empty with every instance, is not copied by
+    ``dataclasses.replace``, and takes no part in equality or repr.  Its rows
+    are grown in place, so an instance whose part counts are asked for from
+    several threads needs a lock around those calls.
     """
 
     name: str
@@ -94,6 +105,7 @@ class CountingSequence:
     period: int
     _fill: Callable[[int], list[int]] = field(repr=False)
     _cache: dict[int, int] = field(default_factory=dict, repr=False)
+    _parts: _PartRows | None = field(default=None, init=False, compare=False, repr=False)
 
     def value(self, n: int) -> int:
         if n < 0:

@@ -70,7 +70,7 @@ B = 1 - 1/A,
 and B^m/A is the recurrence with f = B^m, row m, whose f_0 is 0 for m >= 1.
 So :func:`parts_table` builds row 1 as b and each row m+1 >= 2 as row m
 minus one more pass of the recurrence, with the ratios of a taken once for
-the table: on the Horner and Pascal-row kernel where those ratios are
+every row: on the Horner and Pascal-row kernel where those ratios are
 integers, each term is a product with a small ratio and a binomial instead
 of a product of an entry of row m with one of b, two counts of the size of
 a_n.  Measured on a 2-vCPU VM, best of 7 runs alternating with a
@@ -83,6 +83,22 @@ catalog_classes(3) took 7.9 ms instead of 7.0 ms.  The term-by-term
 product of two rows, the reference the rows are checked against, lives in
 the tests.
 
+The rows grow per class instance.  They are kept on the
+``CountingSequence`` (``_parts``, next to its value cache), with the prefix
+a_0..a_N read so far and its ratios, and each row holds the sizes it has
+been divided to.  Since x_n reads only x_0..x_{n-1}, :func:`_divide`
+resumes a pass from the prefix already computed: row 1 resumes with f = a,
+and row m+1 resumes B^m/A, whose prefix is row m minus row m+1.  A request
+for (m, n) therefore extends rows 1..m to n and nothing else, and reads a
+and its ratios again only past a_N.  :func:`parts_table`, :func:`part_count`
+and :func:`irreducible_counts` read these rows, and through them the
+coefficient tables and expansions of :mod:`seqasym.asymptotics` and every
+suite, so the many tables one command asks of one class divide each size
+of each row once: ``table --construction cyc`` asks for one entry per cell.
+Each command resolves its own instance, so no rows are shared between
+commands.  Every request slices its answer off the rows into a fresh list
+or table, and makes the same refusals as a fresh instance.
+
 A single entry b_n^(m) needs only rows m-1 and 1: :func:`part_count` reads
 them off the table up to row max(m-1, 1) and returns
 
@@ -94,7 +110,9 @@ A genuine class B can never have a negative count, so a negative computed
 entry is a hard error (NegativeIrreducibleCount): the input was not
 sequence-decomposable.  Row 1 is b itself, and row m is the m-fold product
 of b, so one scan of b is the whole check: every later row is nonnegative
-once b is, and the first negative entry of any table lies in row 1.
+once b is, and the first negative entry of any table lies in row 1.  The
+scan is made as row 1 grows, and a request up to n refuses when the first
+negative b_k has k <= n, before any later row grows.
 
 Two independent computations cross-check the integer route, as a chain:
 the ``Fraction`` series inversion B = 1 - 1/A (:func:`irreducible_series`)
@@ -137,11 +155,11 @@ __all__ = [
 
 
 def irreducible_counts(A: CountingSequence, n_max: int) -> list[int]:
-    """b_0..b_{n_max} from the first-part recurrence (negative values kept)."""
-    a = A.values(n_max)
-    if a[0] != 1:
-        raise BadConstantTerm(f"{A.name}: a_0 must be 1, got {a[0]}")
-    return first_part_counts(a, labeled=A.labeling == "labeled")
+    """b_0..b_{n_max} from the first-part recurrence (negative values kept),
+    read off row 1 of A's rows (a fresh list)."""
+    store = _part_rows(A, n_max)
+    store.grow(1, n_max)
+    return store.rows[1][: n_max + 1]
 
 
 def first_part_counts(a: Sequence[int], *, labeled: bool) -> list[int]:
@@ -154,7 +172,7 @@ def first_part_counts(a: Sequence[int], *, labeled: bool) -> list[int]:
     nonzero x_k alone (see the module docstring).  All give the same values
     as the term-by-term loop.
     """
-    return _divide(a, labeled, a, *_ratios(a))
+    return _divide(a, labeled, a, *_ratios(a), [0], len(a) - 1)
 
 
 def cycle_counts(a: Sequence[int]) -> list[int]:
@@ -164,21 +182,27 @@ def cycle_counts(a: Sequence[int]) -> list[int]:
     s_n = n·c_n is :func:`_divide` with the labeled weight and f_n = n·a_n,
     and c_n = s_n/n exactly (see the module docstring).
     """
-    s = _divide(a, True, [n * v for n, v in enumerate(a)], *_ratios(a))
+    s = _divide(a, True, [n * v for n, v in enumerate(a)], *_ratios(a), [0], len(a) - 1)
     return [0] + [s[n] // n for n in range(1, len(s))]
 
 
-def _ratios(a: Sequence[int]) -> tuple[list[int] | None, list[int | None]]:
+def _ratios(
+    a: Sequence[int], ratio: list[int] | None = None, shift: list[int | None] | None = None
+) -> tuple[list[int] | None, list[int | None]]:
     """ratio[j] = a_j/a_{j-1} for j >= 2 when all are integers with a_{j-1} > 0
     (else None), and shift[j] = log2 ratio[j] where that is a power of two
-    (else None): what the Horner form of :func:`_divide` reads."""
-    ratio: list[int] | None = [0, 0]
-    for j in range(2, len(a)):
+    (else None): what the Horner form of :func:`_divide` reads.  Given the
+    lists ``ratio, shift`` of a shorter prefix of a, it extends them in place.
+    """
+    if ratio is None or shift is None:
+        ratio, shift = [0, 0], [None, None]
+    for j in range(len(ratio), len(a)):
         q, rest = divmod(a[j], a[j - 1]) if a[j - 1] > 0 else (0, 1)
         if rest:
             return None, []
         ratio.append(q)
-    return ratio, [q.bit_length() - 1 if q > 0 and not q & (q - 1) else None for q in ratio]
+        shift.append(q.bit_length() - 1 if q > 0 and not q & (q - 1) else None)
+    return ratio, shift
 
 
 def _divide(
@@ -187,23 +211,27 @@ def _divide(
     f: Sequence[int],
     ratio: list[int] | None,
     shift: list[int | None],
+    x: list[int],
+    n_max: int,
 ) -> list[int]:
     """x_0 = 0 and x_n = f_n - sum_{k=1}^{n-1} w(n,k) x_k a_{n-k} for n >= 1,
-    with ``ratio, shift = _ratios(a)``.
+    with ``ratio, shift = _ratios(a)``: extends ``x``, which holds x_0..x_{s-1}
+    (s >= 1, so [0] to start), in place to x_0..x_{n_max} and returns it.
 
     The weight is w(n,k) = C(n,k) when ``labeled``, else 1.  With a_0 = 1,
     x·A = F - f_0 in the ring of A: f = a gives B = 1 - 1/A, and f = B^m
-    (m >= 1, so f_0 = 0) gives B^m/A.
+    (m >= 1, so f_0 = 0) gives B^m/A.  Each x_n reads only x_0..x_{n-1},
+    a_0..a_n and f_n, so a pass resumed after x_{s-1} gives the values of
+    one pass from x_0.
     """
     # row[k] = C(m,k) for k <= m, where m = len(row) - 1 is the last dense size
     row: list[int] | None = [] if labeled else None
-    x = [0] * len(a)
-    nonzero: list[int] = []  # the k < n with x_k != 0
-    for n in range(1, len(a)):
+    nonzero = [k for k in range(1, len(x)) if x[k]]  # the k < n with x_k != 0
+    for n in range(len(x), n_max + 1):
         if 8 * len(nonzero) <= n:  # n - 1 steps would cost more than the few terms
-            x[n] = f[n] - _dot(x, a, n, labeled, nonzero)
+            x.append(f[n] - _dot(x, a, n, labeled, nonzero))
         else:
-            if row is not None and len(row) != n:  # a sparse size left the row behind
+            if row is not None and len(row) != n:  # a sparse size or a resumed pass
                 row = _pascal_row(n - 1)
             t = 0
             prev = 1  # C(n-1, 0)
@@ -229,7 +257,7 @@ def _divide(
                         t += (x[k] if row is None else row[k] * x[k]) * a[n - k]
             if row is not None:
                 row.append(1)
-            x[n] = f[n] - t
+            x.append(f[n] - t)
         if x[n]:
             nonzero.append(n)
     return x
@@ -298,42 +326,110 @@ def irreducible_series(A: CountingSequence, n_max: int) -> PowerSeries:
     return PowerSeries.one(n_max) - inv
 
 
+class _PartRows:
+    """The rows b^(1), b^(2), ... of one class, grown on request and kept on
+    the class's instance (``CountingSequence._parts``).
+
+    ``a`` is the prefix a_0..a_N read so far (a_0 = 1), with its ratios
+    ``ratio, shift = _ratios(a)``; ``rows[m]`` for m >= 1 holds b_0^(m),
+    b_1^(m), ... up to the size that row has been divided to, and
+    ``rows[0]`` is unused.
+    ``negative`` is the first n with b_n < 0 in row 1, or None.  Each row
+    grows only past the sizes it already holds (see the module docstring).
+    The rows are grown in place, so one instance is for one thread.
+    """
+
+    def __init__(self, labeled: bool) -> None:
+        self.a: list[int] = []
+        self.labeled = labeled
+        self.ratio: list[int] | None = [0, 0]
+        self.shift: list[int | None] = [None, None]
+        self.rows: list[list[int]] = [[], [0]]
+        self.negative: int | None = None
+
+    def read(self, a: list[int]) -> None:
+        """Take the longer prefix ``a`` of the same class, and its ratios."""
+        if self.ratio is not None:
+            self.ratio, self.shift = _ratios(a, self.ratio, self.shift)
+        self.a = a
+
+    def grow(self, m: int, n: int) -> None:
+        """Rows 1..m divided up to size n <= N; a row already there is left as it is.
+
+        Row 1 resumes the division with f = a.  Row j >= 2 resumes the
+        division of row j-1 through A, B^(j-1)/A, whose prefix is row j-1
+        minus row j, and takes row j-1 minus it past that prefix.
+        """
+        a, labeled, ratio, shift, rows = self.a, self.labeled, self.ratio, self.shift, self.rows
+        b = rows[1]
+        if len(b) <= n:
+            start = len(b)
+            _divide(a, labeled, a, ratio, shift, b, n)
+            if self.negative is None:
+                self.negative = next((k for k in range(start, n + 1) if b[k] < 0), None)
+        for j in range(2, m + 1):
+            if j == len(rows):
+                rows.append([0])
+            row, f = rows[j], rows[j - 1]
+            if len(row) <= n:
+                start = len(row)
+                x = _divide(a, labeled, f, ratio, shift, [v - y for v, y in zip(f, row)], n)
+                row.extend([f[k] - x[k] for k in range(start, n + 1)])
+
+
+def _part_rows(A: CountingSequence, n: int) -> _PartRows:
+    """The rows kept on ``A``, with a_0..a_n read: A.values and the ratios are
+    taken again only past the prefix already read.  Raises BadConstantTerm
+    when a_0 != 1, on every request, since no rows are kept then."""
+    store = A._parts
+    if store is None or len(store.a) <= n:
+        a = A.values(n)
+        if a[0] != 1:
+            raise BadConstantTerm(f"{A.name}: a_0 must be 1, got {a[0]}")
+        if store is None:
+            store = A._parts = _PartRows(A.labeling == "labeled")
+        store.read(a)
+    return store
+
+
 def parts_table(A: CountingSequence, m_max: int, n_max: int) -> PartsTable:
     """All counting values of B^m for m <= m_max, n <= n_max.
 
-    Raises NegativeIrreducibleCount (when m_max >= 1) at the first negative
-    irreducible count: the class is not a sequence of any genuine subclass.
+    The rows are read off the rows kept on ``A``, grown first to n_max where
+    they stop short of it, so a command that asks for the table of one
+    instance many times divides each size of each row once.  Raises
+    BadConstantTerm when a_0 != 1 and, when m_max >= 1, raises
+    NegativeIrreducibleCount at the first negative irreducible count b_n,
+    n <= n_max, before any row past 1 grows: the class is not a sequence of
+    any genuine subclass.  Row m is the m-fold product of b, so every later
+    row is nonnegative once b is.
     """
-    b = irreducible_counts(A, n_max)
-    if m_max >= 1:  # row 1 is b: its first negative entry is the table's
-        for n, v in enumerate(b):
-            if v < 0:
-                raise NegativeIrreducibleCount(
-                    f"{A.name}: b_{n}^(1) = {v} < 0; not sequence-decomposable"
-                )
-    rows = [[1] + [0] * n_max, b]
-    if m_max >= 2:
-        a = A.values(n_max)
-        labeled = A.labeling == "labeled"
-        ratios = _ratios(a)  # taken once for every row
-        while len(rows) <= m_max:  # B^(m+1) = B^m - B^m/A
-            row = rows[-1]
-            rows.append([v - y for v, y in zip(row, _divide(a, labeled, row, *ratios))])
+    store = _part_rows(A, n_max)
+    if m_max >= 1:
+        store.grow(1, n_max)
+        k = store.negative
+        if k is not None and k <= n_max:
+            raise NegativeIrreducibleCount(
+                f"{A.name}: b_{k}^(1) = {store.rows[1][k]} < 0; not sequence-decomposable"
+            )
+        store.grow(m_max, n_max)
     return PartsTable(
         class_name=A.name,
         labeling=A.labeling,
         n_max=n_max,
         m_max=m_max,
-        _rows=tuple(map(tuple, rows[: m_max + 1])),
+        _rows=((1,) + (0,) * n_max,)
+        + tuple(tuple(store.rows[m][: n_max + 1]) for m in range(1, m_max + 1)),
     )
 
 
 def part_count(A: CountingSequence, m: int, n: int) -> int:
     """b_n^(m), equal to parts_table(A, m, n).entries(n, m), from one dot product.
 
-    Rows m-1 and 1 are read off parts_table(A, max(m-1, 1), n), which refuses
-    a_0 != 1 and a class that is not sequence-decomposable; row m is not
-    built: its entry n is sum_k C(n,k) b_k^(m-1) b_{n-k}, O(n) work.
+    Rows m-1 and 1 are read off parts_table(A, max(m-1, 1), n), which grows
+    only those rows of A, and only past the sizes they already hold, and
+    refuses a_0 != 1 and a class that is not sequence-decomposable; row m is
+    not grown: its entry n is sum_k C(n,k) b_k^(m-1) b_{n-k}, O(n) work.
     """
     if n < 0 or m < 0:
         raise RangeError(f"(n={n}, m={m}) outside table bounds n>=0, m>=0")

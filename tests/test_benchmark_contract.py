@@ -104,14 +104,15 @@ def test_cycle_parts_capture_one_count_per_cell(captured):
 
 
 _JOBS = _load("jobs")
-# every small-n-sweep job, the oracle-grid job and the large-n audits: none
-# takes more than a fraction of a second
+# every job of the three workloads: none takes more than a fraction of a
+# second; the large-n expansion of tournaments cyc at n = 120 grows row 1
+# past the k <= 4 prefix its coefficient table divided first
 REPLAYED = [
     pytest.param(workload, job, id=job.key)
     for workload, jobs in [
         ("small-n-sweep", _JOBS.small_n_sweep()),
         ("oracle-grid", _JOBS.ORACLE_GRID),
-        ("large-n", [j for j in _JOBS.LARGE_N if j.args[0] == "audit"]),
+        ("large-n", _JOBS.LARGE_N),
     ]
     for job in jobs
 ]
@@ -120,16 +121,20 @@ EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
 
 @pytest.mark.parametrize("workload, job", REPLAYED)
 def test_sweep_job_replays_its_recorded_digests(harness, captured, workload, job):
-    """Each replayed job, run through the harness's own run_job, gives the
-    exit status and the result and stdout digests recorded in
-    perfbench/expected.json, so a change of any number or byte fails here."""
+    """Each replayed job, run through the harness's own run_job, ends with its
+    expected exit status and gives the result digest recorded in
+    perfbench/expected.json and, where the recording run printed something,
+    its stdout digest, as the harness checks them: a change of any number or
+    byte fails here.  The two tournaments n = 240 expansions failed in
+    rendering when they were recorded, so they carry no stdout digest."""
     worker, _ = harness
     rec = worker.run_job(seqasym.cli.main, job, captured, None, 0)
     want = EXPECTED[workload][job.key]
-    assert rec["status"] == want["status"], rec["error"]
+    assert rec["status"] == job.expect, rec["error"]
     assert rec["ref_mismatches"] == 0
     assert rec["digest"] == want["digest"], "result digest differs from the recorded one"
-    assert rec["out_digest"] == want["out_digest"], "stdout digest differs from the recorded one"
+    if want["out_digest"] is not None:
+        assert rec["out_digest"] == want["out_digest"], "stdout digest differs from recording"
 
 
 def test_traced_worker_pass_sees_the_value_cache(tmp_path):

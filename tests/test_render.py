@@ -1,6 +1,7 @@
 """The JSON writer: byte-identical to the whole-document form, bounded memory."""
 
 import contextlib
+import gc
 import io
 import sys
 import tracemalloc
@@ -126,3 +127,16 @@ def test_writer_memory_is_a_fraction_of_the_document(monkeypatch):
         tracemalloc.stop()
     assert sink.chars > 1_900_000
     assert peak < sink.chars / 4, (peak, sink.chars)
+
+
+def test_writer_frees_each_block_when_it_returns():
+    """No reference cycle keeps a written document's text alive until the
+    cycle collector next runs: a recursive closure would."""
+    written({}, {"a": [Fraction(1, 3)] * 3})  # click's first echo sets up its stream state
+    gc.collect()
+    gc.disable()
+    try:
+        written({"k": 1}, {"a": [Fraction(1, 3)] * 3, "b": {"c": None}})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
