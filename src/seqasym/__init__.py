@@ -21,7 +21,7 @@ from .asymptotics import (
     seq_coefficients,
     set_via_seq_coefficients,
 )
-from .audit import AuditReport, audit, perturbation_check, product_closure_check
+from .audit import AuditReport, audit
 from .catalog import (
     CountingSequence,
     catalog_classes,
@@ -79,8 +79,6 @@ __all__ = [
     "load_custom",
     "parts_table",
     "periodic_reindex",
-    "perturbation_check",
-    "product_closure_check",
     "resolve_class",
     "seq_coefficients",
     "series_to_counting",

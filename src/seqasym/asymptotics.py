@@ -32,7 +32,7 @@ coefficients are exactly the counting values of W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 from fractions import Fraction
 from math import comb, factorial
@@ -80,9 +80,14 @@ class _Cell:
     note: str = ""  # {name}: the class's name
 
 
-_SEQ = _Cell("seq", lambda b, k, m: m * (b(k, m - 1) - 2 * b(k, m) + b(k, m + 1)), extra_rows=1)
+_SEQ = _Cell(
+    "seq",
+    lambda b, k, m: m * (b(k, m - 1) - 2 * b(k, m) + b(k, m + 1)),
+    extra_rows=1,
+    steps_by_period=True,
+)
 _CELLS = {
-    ("seq", "labeled"): replace(_SEQ, steps_by_period=True),
+    ("seq", "labeled"): _SEQ,
     ("seq", "unlabeled"): _SEQ,
     ("cyc", "labeled"): _Cell(
         "cyc",
@@ -314,8 +319,8 @@ def evaluate_partial_sum(
     """Evaluate the truncated expansion exactly and compare to the exact law.
 
     ``r`` is the number of correction terms: the partial sum runs over
-    k = 0..r on the expansion index, which steps by the period under seq on
-    a labeled periodic class and by 1 in every other cell (under cyc on a
+    k = 0..r on the expansion index, which steps by the period under seq,
+    for either labeling, and by 1 in every other cell (under cyc on a
     periodic class too, a known gap: ROADMAP item 1).  Each call reads its
     coefficient table, up to the first omitted term, off the part-count rows
     kept on ``A``, so calls on one instance divide each size of each row

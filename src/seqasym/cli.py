@@ -1,9 +1,10 @@
 """Command-line surface: tables, expansions, verification suites, audits, oracles.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/domain error, 3 budget
-exceeded.  All machine output (csv/json) is exact and byte-deterministic for
-a fixed configuration; human output may add 6-significant-digit decimals
-marked "(approx)".  Timings go to stderr only: ``audit`` and ``verify``
+Exit codes: 0 success, 1 verification failure (a failed ``verify`` check, or
+an ``oracle`` tally that differs from the parts table), 2 usage/domain error,
+3 budget exceeded.  All machine output (csv/json) is exact and
+byte-deterministic for a fixed configuration; human output may add
+6-significant-digit decimals marked "(approx)".  Timings go to stderr only: ``audit`` and ``verify``
 always end with ``elapsed: X.XXXs`` there, ``oracle`` in human formats;
 ``verify`` writes ``elapsed <suite>: X.XXXs`` before it for each suite run.
 
@@ -36,7 +37,7 @@ from .decomposition import parts_table
 from .errors import RangeError, SeqasymError
 from .oracle import DEFAULT_BUDGET, ORACLE_KINDS, oracle_for
 from .render import approx, frac_str, grid_csv, grid_markdown, write_json
-from .suites import MEMBER_SUITES, SUITE_NAMES, run_suite
+from .suites import MEMBER_SUITES, SUITE_NAMES, oracle_mismatch, run_suite
 
 FORMATS = click.Choice(["md", "csv", "json"])
 
@@ -457,7 +458,8 @@ def cmd_audit(class_name, d, N, fmt, custom):
 )
 @click.option("--format", "fmt", type=FORMATS, default="md", show_default=True)
 def cmd_oracle(class_name, n_value, d, budget, fmt):
-    """Enumerate every object of one size and count parts directly."""
+    """Enumerate every object of one size and count parts directly; exit 1
+    if the tally differs from the parts table."""
 
     def body():
         result = oracle_for(class_name, n_value, d, budget=budget)
@@ -486,6 +488,11 @@ def cmd_oracle(class_name, n_value, d, budget, fmt):
         _emit(fmt, config, payload, lambda: "\n".join(human))
         if fmt != "json":
             click.echo(f"elapsed: {result.elapsed:.3f}s", err=True)
+        A = catalog.resolve_class(class_name, d)
+        bad = oracle_mismatch(result, A, parts_table(A, n_value, n_value))
+        if bad:
+            click.echo(f"mismatch with the parts table: {bad}", err=True)
+            sys.exit(1)
 
     _run(body)
 

@@ -6,10 +6,9 @@ them directly.  Everything here is exact arithmetic — a suite failure means
 two independent computations of the same integer or rational disagree, or a
 stated tolerance was missed.
 
-Each cross-check is defined here once.  The scripts reuse
-:func:`recompute_reference` (one frozen table rebuilt from the integer core),
-``ORACLE_GRID`` (the brute-force enumeration grid, rows (kind, d, n_max)) and
-:func:`oracle_mismatch` (one enumeration against its parts table).
+Each cross-check is defined here once.  The ``oracle`` command reuses
+:func:`oracle_mismatch` (one enumeration against its parts table) to check
+its own tally.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .asymptotics import CoefficientTable, evaluate_partial_sum, seq_coefficients
+from .asymptotics import evaluate_partial_sum, seq_coefficients
 from .decomposition import (
     PartsTable,
     lift_consistency,
@@ -41,7 +40,6 @@ __all__ = [
     "ORACLE_GRID",
     "SUITE_NAMES",
     "oracle_mismatch",
-    "recompute_reference",
     "run_suite",
 ]
 
@@ -58,28 +56,16 @@ class Check:
 # ---------------------------------------------------------------------------
 
 
-def recompute_reference(key: tuple[str, int, str]) -> PartsTable | CoefficientTable:
-    """Recompute the frozen table REFERENCE_TABLES[key] from the integer core.
-
-    The result has rows m = 1..5 and reaches the table's last column; its
-    ``entries(index, m)`` are compared with ``REFERENCE_TABLES[key].value``.
-    """
-    class_key, d, kind = key
-    ref = REFERENCE_TABLES[key]
-    A = catalog.resolve_class(class_key, d)
-    hi = ref.start_index + len(ref.rows[0]) - 1
-    if kind == "parts":
-        return parts_table(A, 5, hi)
-    return seq_coefficients(A, 5, hi)
-
-
 def suite_appendix() -> list[Check]:
+    """Recompute each appendix table, rows m = 1..5 up to its last column,
+    from the integer core and compare it entry by entry."""
     checks = []
     for key in APPENDIX_ORDER:
         class_key, d, kind = key
         ref = REFERENCE_TABLES[key]
-        table = recompute_reference(key)
         ncols = len(ref.rows[0])
+        build = parts_table if kind == "parts" else seq_coefficients
+        table = build(catalog.resolve_class(class_key, d), 5, ref.start_index + ncols - 1)
         name = f"table-{ref.golden_index}-{class_key}-d{d}-{kind}"
         mismatch = next(
             (
@@ -104,7 +90,7 @@ def suite_appendix() -> list[Check]:
 # oracle: brute-force enumeration vs part tables
 # ---------------------------------------------------------------------------
 
-# (kind, d, n_max), also run row by row by scripts/oracle_crosscheck.py
+# (kind, d, n_max): each class enumerated at every size n <= n_max
 ORACLE_GRID = (
     ("tournaments", 1, 7),
     ("tournaments", 2, 5),

@@ -69,11 +69,6 @@ def run_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     )
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    """Run scripts/<name> in a fresh interpreter with the package on its path."""
-    return run_python(str(ROOT / "scripts" / name), *args)
-
-
 def _jsonable(x):
     """x as plain JSON data: Fractions as exact strings, dict keys str()-ed,
     tuples as lists."""

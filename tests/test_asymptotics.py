@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -330,6 +330,19 @@ def test_periodic_expansion_steps_by_period():
     assert ev.terms[1].value == Fraction(2, 23)
     with pytest.raises(RangeError, match="^--n 23: size 23 is not a multiple of the period 2$"):
         evaluate_partial_sum(LM, 2, 23, 2)
+    # Unlabeled, a_{2k} = k!: in z^2 this is permutations(d=1), so at n = 20
+    # every term, the partial sum and the exact law are those at n = 10.
+    halves = catalog.custom(
+        [factorial(n // 2) if n % 2 == 0 else 0 for n in range(21)], "unlabeled", period=2
+    )
+    ev = evaluate_partial_sum(halves, 1, 20, 3)
+    same = evaluate_partial_sum(catalog.permutations(1), 1, 10, 3)
+    assert [(t.k, t.coefficient) for t in ev.terms] == [(0, 1), (2, -2), (4, -1), (6, -4)]
+    assert [t.value for t in ev.terms] == [t.value for t in same.terms]
+    assert (ev.exact_probability, ev.normalized_residual) == (
+        same.exact_probability,
+        same.normalized_residual,
+    )
 
 
 def test_cycle_expansion_rejects_size_off_the_period():

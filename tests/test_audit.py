@@ -1,34 +1,36 @@
-"""Finite-range growth audits: traces, flags, verdicts, closure checks."""
+"""Finite-range growth audits: traces, flags and verdicts, against a
+Fraction transcription of their definitions."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from conftest import rationals, run_script
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqasym import catalog
-from seqasym.audit import (
-    AuditReport,
-    _fraction,
-    audit,
-    audit_sequence,
-    perturbation_check,
-    product_closure_check,
-    reduced_values,
-)
+from seqasym.audit import AuditReport, _fraction, audit
 from seqasym.catalog import CountingSequence
 from seqasym.errors import RangeError
 
 SURVEY_N = 40
 
 
+def _reduced_values(A, N):
+    """The audited sequence u_0..u_N as Fractions: a_{pk}/(pk)! for a labeled
+    class of period p, a_{pk} for an unlabeled one."""
+    p = A.period
+    a = A.values(p * N)
+    if A.labeling == "labeled":
+        return [Fraction(a[n], factorial(n)) for n in range(0, p * N + 1, p)]
+    return [Fraction(x) for x in a[::p]]
+
+
 def fraction_reference(name, values, N, r_max):
-    """The non-zero branch of ``audit_sequence`` transcribed from its
-    definitions in Fraction arithmetic: S_{n,r} summed term by term, and the
-    midpoint test rescanned at every size."""
+    """The report of ``audit`` on a sequence without zeros, transcribed from
+    its definitions in Fraction arithmetic on the reduced values u_0..u_N:
+    S_{n,r} summed term by term, and the midpoint test rescanned at every
+    size."""
     u = [Fraction(v) for v in values[: N + 1]]
     ratios = tuple(u[n - 1] / u[n] for n in range(1, N + 1))
     conv = {
@@ -112,7 +114,7 @@ def test_convolution_trace_concentrates_at_the_ends(tournaments1):
     for a sequence with fast-growing terms the interior adds almost nothing.
     """
     rep = audit(tournaments1, SURVEY_N)
-    u = reduced_values(tournaments1, SURVEY_N)
+    u = _reduced_values(tournaments1, SURVEY_N)
     for r in (1, 2, 3):
         trace = rep.convolution_trace[r]
         assert len(trace) == SURVEY_N - 2 * r + 1
@@ -139,7 +141,7 @@ def test_even_support_reindexing_changes_the_audited_object():
 
 
 def test_zero_inside_range_is_reported():
-    rep = audit_sequence("gappy", [1, 1, 0, 1] + [1] * 47, 12)
+    rep = audit(catalog.custom([1, 1, 0, 1] + [1] * 47, "unlabeled", name="gappy"), 12)
     assert rep.verdict == "visibly-failing"
     assert rep.notes and "u_2 = 0" in rep.notes[0]
     assert rep.ratio_trace == (Fraction(1),)
@@ -150,59 +152,8 @@ def test_audit_domain_errors(tournaments1):
         audit(tournaments1, 9)
     with pytest.raises(RangeError):
         audit(tournaments1, 20, r_max=0)
-    with pytest.raises(RangeError):
-        audit_sequence("short", [1, 2, 3], 12)
-
-
-def test_product_closure(tournaments1, permutations1):
-    rep = product_closure_check(permutations1, permutations1, SURVEY_N)
-    assert rep.class_name == "permutations(d=1) * permutations(d=1)"
-    assert rep.verdict == "evidence-consistent"
-    assert product_closure_check(tournaments1, permutations1, SURVEY_N).verdict == (
-        "evidence-consistent"
-    )
-    ones = catalog.constant_ones()
-    assert product_closure_check(ones, ones, SURVEY_N).verdict == "visibly-failing"
-
-
-def test_perturbation_reduces_to_plain_audit_when_zero(tournaments1):
-    rep = perturbation_check(tournaments1, [0] * (SURVEY_N + 1), 1, SURVEY_N)
-    base = audit(tournaments1, SURVEY_N)
-    assert rep.ratio_trace == base.ratio_trace
-    assert rep.convolution_trace == base.convolution_trace
-    assert rep.verdict == base.verdict == "evidence-consistent"
-
-
-def test_perturbation_unlabeled_tournaments_inherit(tournaments1):
-    """t~_n = t_n/n! + (exponentially smaller symmetry terms)."""
-    TU = catalog.unlabeled_tournaments()
-    b = [
-        Fraction(TU.value(n)) - Fraction(tournaments1.value(n), factorial(n))
-        for n in range(21)
-    ]
-    rep = perturbation_check(tournaments1, b, 1, 20)
-    assert rep.verdict == "evidence-consistent"
-    assert rep.class_name == "1*tournaments(d=1) + perturbation"
-    assert rep.notes and "|b/a| witness" in rep.notes[0]
-    assert "(not shrinking)" not in rep.notes[0]
-    # the perturbed sequence IS the unlabeled count, so traces coincide
-    assert rep.ratio_trace == audit(TU, 20).ratio_trace
-
-
-def test_perturbation_scaled_explicit_base():
-    a = [Fraction(factorial(n)) for n in range(SURVEY_N + 1)]
-    b = [Fraction(0)] + [Fraction(factorial(n - 1)) for n in range(1, SURVEY_N + 1)]
-    rep = perturbation_check(a, b, 2, SURVEY_N)
-    assert rep.verdict == "evidence-consistent"
-    assert rep.class_name == "2*base + perturbation"
-    assert "1/31 at n=31 -> 1/40 at n=40" in rep.notes[0]
-
-
-def test_perturbation_length_checks(tournaments1):
-    with pytest.raises(RangeError):
-        perturbation_check(tournaments1, [0] * 10, 1, 20)
-    with pytest.raises(RangeError):
-        perturbation_check([1] * 10, [0] * 30, 1, 20)
+    with pytest.raises(RangeError, match="defines values up to n=2, asked for 12"):
+        audit(catalog.custom([1, 2, 3], "unlabeled", name="short"), 12)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +170,7 @@ def test_perturbation_length_checks(tournaments1):
 )
 def test_integer_traces_match_fraction_reference(A, N):
     rep = audit(A, N)
-    assert rep == fraction_reference(rep.class_name, reduced_values(A, N), N, 3)
+    assert rep == fraction_reference(rep.class_name, _reduced_values(A, N), N, 3)
 
 
 @st.composite
@@ -247,7 +198,7 @@ def test_labeled_audit_matches_fraction_reference(drawn, r_max):
     a, p, N = drawn
     A = catalog.custom(a, "labeled", p, name="drawn")
     rep = audit(A, N, r_max)
-    assert rep == fraction_reference(rep.class_name, reduced_values(A, N), N, r_max)
+    assert rep == fraction_reference(rep.class_name, _reduced_values(A, N), N, r_max)
 
 
 @st.composite
@@ -279,7 +230,7 @@ def test_custom_class_audit_matches_its_reduced_values(drawn, r_max):
     with one a failing report whose ratio trace stops before the zero."""
     A, N, zero = drawn
     rep = audit(A, N, r_max)
-    u = reduced_values(A, N)
+    u = _reduced_values(A, N)
     if zero is None:
         assert rep == fraction_reference(rep.class_name, u, N, r_max)
     else:
@@ -296,47 +247,20 @@ def test_custom_class_audit_matches_its_reduced_values(drawn, r_max):
         )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(10, 24).flatmap(
-        lambda N: st.tuples(st.just(N), st.lists(rationals(), min_size=N + 1, max_size=N + 1))
-    ),
-    st.integers(1, 5),
-)
-def test_signed_sequences_match_fraction_reference(N_values, r_max):
-    N, values = N_values
-    assume(all(v != 0 for v in values[1:]))  # u_0 = 0 is allowed
-    assert audit_sequence("signed", values, N, r_max) == fraction_reference(
-        "signed", values, N, r_max
-    )
-
-
-def _two_adic(num, exponent, den, up):
-    """num·2^exponent/den or num/(den·2^exponent): a large power of two on one side."""
-    return Fraction(num << exponent, den) if up else Fraction(num, den << exponent)
-
-
-_TWO_ADIC = st.builds(
-    _two_adic,
-    st.integers(-40, 40).filter(bool),
-    st.integers(0, 300),
-    st.integers(1, 30),
-    st.booleans(),
-)
+_TWO_ADIC = st.builds(lambda num, e: num << e, st.integers(1, 40), st.integers(0, 300))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.one_of(st.just(Fraction(0)), _TWO_ADIC),
     st.integers(10, 24).flatmap(lambda N: st.lists(_TWO_ADIC, min_size=N, max_size=N)),
     st.integers(1, 5),
 )
-def test_power_of_two_factors_match_fraction_reference(u_0, tail, r_max):
-    values = [u_0] + tail  # u_0 = 0 is allowed
+def test_power_of_two_factors_match_fraction_reference(tail, r_max):
+    """Unlabeled values num·2^e, most of their bits a power of two."""
+    values = [1] + tail
     N = len(tail)
-    assert audit_sequence("two-adic", values, N, r_max) == fraction_reference(
-        "two-adic", values, N, r_max
-    )
+    A = catalog.custom(values, "unlabeled", name="two-adic")
+    assert audit(A, N, r_max) == fraction_reference("two-adic", values, N, r_max)
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,20 +279,3 @@ def test_fraction_matches_the_normalising_constructor(num, den_odd, num_twos, de
     assert type(got) is Fraction
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert got.denominator > 0
-
-
-def test_negative_perturbation_matches_fraction_reference(tournaments1):
-    # c_n = u_n - 3/2 changes sign: c_1 = c_2 = -1/2, c_3 = -1/6, c_4 > 0.
-    b = [Fraction(-3, 2)] * (SURVEY_N + 1)
-    rep = perturbation_check(tournaments1, b, 1, SURVEY_N)
-    c = [x + y for x, y in zip(reduced_values(tournaments1, SURVEY_N), b)]
-    assert c[1] < 0 < c[4]
-    assert rep == replace(
-        fraction_reference(rep.class_name, c, SURVEY_N, 3), notes=rep.notes
-    )
-
-
-def test_survey_script_rejects_small_N():
-    res = run_script("audit_survey.py", "--N", "5")
-    assert res.returncode == 2
-    assert "--N" in res.stderr and "Traceback" not in res.stderr

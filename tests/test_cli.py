@@ -2,12 +2,14 @@
 
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqasym import cli
 from seqasym.asymptotics import CONSTRUCTIONS
 from seqasym.catalog import CATALOG_FACTORIES, resolve_class
 from seqasym.cli import main, parse_range
@@ -521,6 +523,42 @@ def test_oracle_json_sorted_and_timing_free(runner):
     assert "elapsed" not in json.dumps(doc)
 
 
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_oracle_exits_1_when_its_tally_differs_from_the_parts_table(runner, monkeypatch, fmt):
+    """The tally is checked against the parts table after it is printed: the
+    output stays as it was, and stderr names the first disagreement."""
+    args = ("oracle", "--class", "permutations", "--n", "4", "--format", fmt)
+    good = invoke(runner, *args)
+    assert good.exit_code == 0
+    parts_table = cli.parts_table
+
+    def shifted(A, m_max, n_max):
+        table = parts_table(A, m_max, n_max)
+        return SimpleNamespace(entries=lambda n, m: table.entries(n, m) + (m == 2))
+
+    monkeypatch.setattr(cli, "parts_table", shifted)
+    bad = invoke(runner, *args)
+    assert bad.exit_code == 1
+    assert bad.stdout == good.stdout
+    found = re.search(r"parts table: n=4 m=2 enumerated=(\d+) series=(\d+)\n$", bad.stderr)
+    assert found and int(found[2]) == int(found[1]) + 1
+
+
+@pytest.mark.parametrize(
+    "kind, d, n",
+    [pytest.param(*row, id="{}-d{}-n{}".format(*row)) for row in ORACLE_GRID]
+    + [pytest.param("tournaments", 1, 8, id="tournaments-d1-n8")],
+)
+def test_oracle_tally_agrees_with_the_parts_table(runner, kind, d, n):
+    """Every row of the verify --suite oracle grid at its largest size, and
+    tournaments (2^28 objects) one size past it, pass the oracle command's
+    own check."""
+    res = invoke(runner, "oracle", "--class", kind, "--d", str(d), "--n", str(n),
+                 "--budget", "300000000")
+    assert res.exit_code == 0, res.stderr
+    assert "mismatch" not in res.stderr
+
+
 def test_oracle_budget_exit_code(runner):
     res = invoke(runner, "oracle", "--class", "tournaments", "--n", "6", "--budget", "10")
     assert res.exit_code == 3
@@ -559,7 +597,8 @@ def test_oracle_refuses_a_huge_size_without_printing_its_count(runner):
 )
 def test_oracle_arguments_end_in_a_known_exit_code(kind, n, d, budget):
     """Every oracle call succeeds (0), is refused as a usage or range error
-    (2) or as over budget (3), and never ends in an uncaught exception."""
+    (2) or as over budget (3), and never ends in an uncaught exception; a 1
+    would be a tally that differs from the parts table."""
     res = CliRunner().invoke(
         main,
         ["oracle", "--class", kind, "--n", str(n), "--d", str(d), "--budget", str(budget)],
