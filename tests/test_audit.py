@@ -173,6 +173,26 @@ def test_integer_traces_match_fraction_reference(A, N):
     assert rep == fraction_reference(rep.class_name, _reduced_values(A, N), N, 3)
 
 
+@pytest.mark.parametrize(
+    "A, B, verdict",
+    [
+        (catalog.permutations(1), catalog.permutations(1), "evidence-consistent"),
+        (catalog.tournaments(1), catalog.permutations(1), "evidence-consistent"),
+        (catalog.constant_ones(), catalog.constant_ones(), "visibly-failing"),
+    ],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_termwise_products_keep_the_verdict(A, B, verdict):
+    """The termwise product of two reduced sequences, audited as an unlabeled
+    custom class, keeps the verdict its factors share."""
+    product = [x * y for x, y in zip(_reduced_values(A, SURVEY_N), _reduced_values(B, SURVEY_N))]
+    assert all(v.denominator == 1 for v in product)
+    C = catalog.custom(product, "unlabeled", name=f"{A.name} * {B.name}")
+    rep = audit(C, SURVEY_N)
+    assert rep.verdict == verdict == audit(A, SURVEY_N).verdict == audit(B, SURVEY_N).verdict
+    assert rep == fraction_reference(rep.class_name, product, SURVEY_N, 3)
+
+
 @st.composite
 def _labeled_values(draw):
     """(a_0..a_{pN}, p, N) of a labeled custom class: a_{pk} = (pk)!·u_k with

@@ -2,6 +2,8 @@
 
 import json
 import re
+from fractions import Fraction
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -339,6 +341,52 @@ def test_expansion_with_zero_next_shape(runner, tmp_path, fmt):
         assert json.loads(res.stdout)["result"]["normalized_residual"] is None
 
 
+def _json_result(res):
+    assert res.exit_code == 0, res.stderr
+    return json.loads(res.stdout)["result"]
+
+
+def _halves_file(tmp_path):
+    """Unlabeled period-2 class with a_{2k} = k!: permutations(d=1) in z^2."""
+    f = tmp_path / "halves.seq"
+    values = [factorial(n // 2) if n % 2 == 0 else 0 for n in range(121)]
+    f.write_text("labeling: unlabeled\nperiod: 2\n" + "".join(f"{v}\n" for v in values))
+    return ["--custom", str(f)]
+
+
+RESIDUAL_SIZES = (20, 30, 40, 50, 60)  # in units of the period
+
+
+@pytest.mark.parametrize("r", range(5))
+@pytest.mark.parametrize("where", ["permutations", "linear_matchings", "halves"])
+def test_expansion_residual_heads_to_the_next_coefficient(runner, tmp_path, where, r):
+    """The normalized residual of ``expansion --terms r`` closes in on the
+    coefficient ``table --kind coefficients`` prints at k = p(r+1), strictly
+    as n grows: the index steps by the period p, labeled or unlabeled."""
+    cls = _halves_file(tmp_path) if where == "halves" else ["--class", where]
+    p = 1 if where == "permutations" else 2
+    k = p * (r + 1)
+    table = _json_result(
+        invoke(runner, "table", *cls, "--kind", "coefficients", "--k", f"0..{k}", "--m", "1",
+               "--format", "json")
+    )
+    target = table["rows"][0]["values"][k]
+    assert target < 0
+    residuals = [
+        Fraction(_json_result(
+            invoke(runner, "expansion", *cls, "--n", str(p * n), "--terms", str(r),
+                   "--format", "json")
+        )["normalized_residual"])
+        for n in RESIDUAL_SIZES
+    ]
+    gaps = [nr - target for nr in residuals]
+    assert all(0 > a > b for b, a in zip(gaps, gaps[1:])), gaps
+    if r == 1 and where != "linear_matchings":
+        assert [f"{float(nr):+.4f}" for nr in residuals] == [
+            "-1.3300", "-1.1760", "-1.1215", "-1.0930", "-1.0754"
+        ]
+
+
 def test_expansion_json_carries_exact_rationals(runner):
     res = invoke(
         runner, "expansion", "--class", "tournaments", "--n", "20",
@@ -644,10 +692,16 @@ def test_d_refused_by_classes_without_it(runner, cls, command):
     assert "--d" not in one.stderr
 
 
-def test_unknown_class_exit_code(runner):
-    res = invoke(runner, "table", "--class", "nosuch")
+@pytest.mark.parametrize(
+    "command",
+    [["table"], ["expansion", "--n", "20"], ["audit", "--N", "20"]],
+    ids=lambda c: c[0],
+)
+def test_unknown_class_exit_code(runner, command):
+    res = invoke(runner, command[0], "--class", "nosuch", *command[1:])
     assert res.exit_code == 2
-    assert res.output.startswith("UnknownClass:")
+    assert res.output.startswith("UnknownClass: unknown class 'nosuch'")
+    assert "Traceback" not in res.stderr and res.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -668,10 +722,27 @@ def test_unknown_class_exit_code(runner):
             "--k -1..2: ",
         ),
         (["expansion", "--class", "tournaments", "--n", "20", "--m", "1..2"], "--m 1..2: "),
+        (["expansion", "--class", "tournaments", "--n", "20", "--d", "0"], "--d 0: "),
+        (["audit", "--class", "permutations", "--N", "20", "--d", "0"], "--d 0: "),
+        (["audit", "--class", "tournaments", "--N", "9"], "--N 9: audit needs N >= 10"),
+        (["oracle", "--class", "tournaments", "--n", "-1"], "--n -1: need n >= 1"),
+        (["oracle", "--class", "tournaments", "--n", "3", "--d", "0"], "--d 0: need d >= 1"),
+        # refused as a range error before the budget is consulted
+        (
+            ["oracle", "--class", "tournaments", "--n", "3", "--d", "0", "--budget", "0"],
+            "--d 0: need d >= 1",
+        ),
+        (
+            ["oracle", "--class", "unlabeled_tournaments", "--n", "3", "--d", "2",
+             "--budget", "0"],
+            "--d 2: unlabeled_tournaments has no d parameter",
+        ),
     ],
     ids=[
         "table-d", "audit-N", "oracle-n", "oracle-d", "oracle-unlabeled-d",
-        "table-m", "table-n", "table-k", "expansion-m",
+        "table-m", "table-n", "table-k", "expansion-m", "expansion-d", "audit-d",
+        "audit-N-9", "oracle-n-negative", "oracle-d-zero", "oracle-d-zero-budget-zero",
+        "oracle-unlabeled-d-budget-zero",
     ],
 )
 def test_usage_errors_name_the_argument_and_its_value(runner, args, named):
