@@ -102,6 +102,7 @@ _CELLS = {
         count=None,
         one_part_only=True,
         subtracts=True,
+        steps_by_period=True,
         note="set construction: partial sum is 1 - sum of irreducible-count terms; "
         "no exact reference law in scope",
     ),
@@ -319,18 +320,18 @@ def evaluate_partial_sum(
     """Evaluate the truncated expansion exactly and compare to the exact law.
 
     ``r`` is the number of correction terms: the partial sum runs over
-    k = 0..r on the expansion index, which steps by the period under seq,
-    for either labeling, and by 1 in every other cell (under cyc on a
-    periodic class too, a known gap: ROADMAP item 1).  Each call reads its
-    coefficient table, up to the first omitted term, off the part-count rows
-    kept on ``A``, so calls on one instance divide each size of each row
-    once.  The exact law is the cell's m-part count at size n — an
-    independent computation — so residual = exact - partial is an identity
-    of rationals.  The normalized
-    residual divides by the shape of the first omitted term; it is None when
-    that shape is 0.  The set cell's partial sum is 1 - sum d_k * shape_k
-    and it has no exact law (inverting the multiset construction is out of
-    scope), so its exact, residual, and normalized fields are None.
+    k = 0..r on the expansion index, which steps by the period under seq, for
+    either labeling, and under set; under cyc it steps by 1, on a periodic
+    class too (a known gap: ROADMAP item 1).  Each call reads its coefficient
+    table, up to the first omitted term, off the part-count rows kept on
+    ``A``, so calls on one instance divide each size of each row once.  The
+    exact law is the cell's m-part count at size n — an independent
+    computation — so residual = exact - partial is an identity of rationals.
+    The normalized residual divides by the shape of the first omitted term;
+    it is None when that shape is 0.  The set cell's partial sum is
+    1 - sum d_k * shape_k and it has no exact law (inverting the multiset
+    construction is out of scope), so its exact, residual, and normalized
+    fields are None.
 
     Raises RangeError outside the construction rules, for r < 0, for n below
     the index of the first omitted term, and when the class whose values give

@@ -16,7 +16,6 @@ markdown column needs the width of every cell before its first line.
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -80,17 +79,6 @@ def grid_csv(
     return "\n".join(lines)
 
 
-def _json_float(x: float) -> str:
-    """A float as ``json`` writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _put(x: Any, indent: str, lead: str, block: list[str], size: int) -> int:
     """Append ``lead`` and the JSON text of x at ``indent`` to ``block``, which
     holds ``size`` characters of leaf text, and return that count.  A leaf is
@@ -133,8 +121,6 @@ def _put(x: Any, indent: str, lead: str, block: list[str], size: int) -> int:
     # isinstance(x, Fraction) asks ABCMeta about any other type: after the containers
     elif isinstance(x, Fraction):
         text = '"' + frac_str(x) + '"'
-    elif isinstance(x, float):
-        text = _json_float(x)
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     block.append(lead + text)
@@ -153,11 +139,12 @@ def write_json(config: dict, result: Any) -> None:
     One recursive pass writes the text ``json.dumps(doc, indent=2,
     sort_keys=True)`` gives for the document with every dict key ``str()``-ed
     (so keys sort as text, "10" < "2") and every ``Fraction`` as its exact
-    text: strings through ``encode_basestring_ascii``, ``bool``, ``None``,
-    ``int`` and ``float`` as ``json`` writes them, tuples as lists.  Any other
-    type raises TypeError.  The pure-Python encoder ``json`` uses under
-    ``indent`` runs generator frames per value, which made Fraction-dense
-    documents about twice as slow to write.
+    text: strings through ``encode_basestring_ascii``, ``bool``, ``None`` and
+    ``int`` as ``json`` writes them, tuples as lists.  Any other type raises
+    TypeError, ``float`` included, since a document carries exact values only.
+    The pure-Python encoder ``json`` uses under ``indent`` runs generator
+    frames per value, which made Fraction-dense documents about twice as slow
+    to write.
     """
     block: list[str] = []
     doc = {"schema_version": SCHEMA_VERSION, "config": config, "result": result}

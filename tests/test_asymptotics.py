@@ -343,6 +343,12 @@ def test_periodic_expansion_steps_by_period():
         same.exact_probability,
         same.normalized_residual,
     )
+    # The set cell steps by the period too: its terms sit at k = 0, 2, 4, 6.
+    ev = evaluate_partial_sum(halves, 1, 20, 3, "set")
+    same = evaluate_partial_sum(catalog.permutations(1), 1, 10, 3, "set")
+    assert [(t.k, t.coefficient) for t in ev.terms] == [(0, 1), (2, 1), (4, 1), (6, 3)]
+    assert [t.value for t in ev.terms] == [t.value for t in same.terms]
+    assert ev.partial_sum == same.partial_sum
 
 
 def test_cycle_expansion_rejects_size_off_the_period():

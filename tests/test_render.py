@@ -107,6 +107,13 @@ def test_unknown_types_are_refused():
         written({}, {1, 2})
 
 
+@pytest.mark.parametrize("x", [0.5, float("nan"), float("inf")])
+def test_float_leaves_are_refused(x):
+    """A document carries exact values only: a float is an error, not text."""
+    with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+        written({}, {"result": [1, Fraction(1, 2), x]})
+
+
 def test_writer_memory_is_a_fraction_of_the_document(monkeypatch):
     # The tournaments audit at N = 240: 951 trace fractions, about 2.0 MB of JSON.
     calls = []
