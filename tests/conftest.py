@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from seqasym import catalog
-from seqasym.render import frac_str
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,11 +68,18 @@ def run_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     )
 
 
+def str_text(x: Fraction | int) -> str:
+    """The exact text of x, "n" or "n/d", written by ``str()`` alone rather
+    than by the renderer under test."""
+    n, d = x.numerator, x.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _jsonable(x):
-    """x as plain JSON data: Fractions as exact strings, dict keys str()-ed,
+    """x as plain JSON data: Fractions as ``str_text``, dict keys str()-ed,
     tuples as lists."""
     if isinstance(x, Fraction):
-        return frac_str(x)
+        return str_text(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
