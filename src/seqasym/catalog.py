@@ -24,12 +24,20 @@ unlabeled_tournaments()   unlabeled  1       tournaments up to isomorphism
 constant_ones()           unlabeled  1       1 (sequences of single atoms)
 ========================  =========  ======  =======================================
 
+Each class is declared once, as one row of the private table ``_CLASSES``
+keyed by its CLI name (``constant-1`` for ``constant_ones``): its labeling,
+its period, whether it takes d, whether it is sequence-decomposable, and
+how its values are filled.  ``resolve_class`` builds every class from its
+row, with its name and its refusals of d; the factories above are one call
+of it, and ``catalog_classes`` reads its order off the table.  Adding a
+class is one row.
+
 Every class computes its values as a prefix a_0..a_n, in one filler call.
-The closed forms above are filled as running products, a_n = a_{n-p}·r_n on
-the multiples n of the period p, with a small ratio r_n: (d+1)^(n-1) for
-tournaments, n^d for linear orders and permutations, (2n-1)^d for
-matchings, n-1 for the raw labeled matchings and n·(n-1)^2 for linear
-matchings.
+Every class but unlabeled tournaments is filled as a running product,
+a_n = a_{n-p}·r_n on the multiples n of the period p, with a small ratio
+r_n: (d+1)^(n-1) for tournaments, n^d for linear orders and permutations,
+(2n-1)^d for matchings, n-1 for the raw labeled matchings, n·(n-1)^2 for
+linear matchings and 1 for constant-1.
 
 The raw matchings view is deliberately NOT sequence-decomposable (its inversion
 produces a negative part count at n=4); it exists so that the reindexing and
@@ -50,13 +58,23 @@ enumeration for n <= 6 before anything downstream may trust it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, gcd
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from .errors import BadConstantTerm, NegativeCount, PeriodMismatch, RangeError, SeqasymError
+from .errors import (
+    BadConstantTerm,
+    NegativeCount,
+    NonIntegerCount,
+    PeriodMismatch,
+    RangeError,
+    SeqasymError,
+    UnknownClass,
+)
 
 if TYPE_CHECKING:
     from .decomposition import _PartRows
@@ -76,7 +94,6 @@ __all__ = [
     "parse_custom_text",
     "catalog_classes",
     "resolve_class",
-    "CATALOG_FACTORIES",
     "double_factorial",
     "unlabeled_tournament_count",
 ]
@@ -121,7 +138,7 @@ class CountingSequence:
 
 
 # ---------------------------------------------------------------------------
-# closed forms, filled as running products
+# running products
 # ---------------------------------------------------------------------------
 
 
@@ -154,97 +171,6 @@ def double_factorial(k: int) -> int:
     for i in range(1, k + 1, 2):
         out *= i
     return out
-
-
-def tournaments(d: int = 1) -> CountingSequence:
-    """Labeled d-multitournaments: (d+1)^C(n,2) orientations of multiplicities."""
-    if d < 1:
-        raise RangeError(f"--d {d}: d must be a positive integer")
-    return CountingSequence(
-        name=f"tournaments(d={d})",
-        labeling="labeled",
-        period=1,
-        _fill=_running_product(lambda k: (d + 1) ** (k - 1)),
-    )
-
-
-def linear_orders(d: int = 1) -> CountingSequence:
-    """Labeled d-tuples of linear orders: (n!)^d."""
-    if d < 1:
-        raise RangeError(f"--d {d}: d must be a positive integer")
-    return CountingSequence(
-        name=f"linear_orders(d={d})",
-        labeling="labeled",
-        period=1,
-        _fill=_running_product(lambda k: k**d),
-    )
-
-
-def permutations(d: int = 1) -> CountingSequence:
-    """d-tuples of permutations, treated as unlabeled objects: (n!)^d."""
-    if d < 1:
-        raise RangeError(f"--d {d}: d must be a positive integer")
-    return CountingSequence(
-        name=f"permutations(d={d})",
-        labeling="unlabeled",
-        period=1,
-        _fill=_running_product(lambda k: k**d),
-    )
-
-
-def matchings(d: int = 1) -> CountingSequence:
-    """d-tuples of perfect matchings, unlabeled, indexed by the pair count n."""
-    if d < 1:
-        raise RangeError(f"--d {d}: d must be a positive integer")
-    return CountingSequence(
-        name=f"matchings(d={d})",
-        labeling="unlabeled",
-        period=1,
-        _fill=_running_product(lambda k: (2 * k - 1) ** d),
-    )
-
-
-def matchings_labeled() -> CountingSequence:
-    """Raw labeled perfect matchings: (n−1)!! objects of even size n, period 2.
-
-    This view is kept for the reindexing pipeline; it is not
-    sequence-decomposable as a labeled class (see module docstring).
-    """
-    return CountingSequence(
-        name="matchings_labeled",
-        labeling="labeled",
-        period=2,
-        _fill=_running_product(lambda k: k - 1, period=2),
-    )
-
-
-def linear_matchings() -> CountingSequence:
-    """Pairs (linear order, linear order) composing to a perfect matching.
-
-    value(2k) = (2k)!·(2k−1)!!, value(odd) = 0.  This is the relabeling-stable
-    lift of the matchings class, and the labeled 2-periodic class the
-    asymptotic machinery actually applies to.
-    """
-    return CountingSequence(
-        name="linear_matchings",
-        labeling="labeled",
-        period=2,
-        _fill=_running_product(lambda k: k * (k - 1) ** 2, period=2),
-    )
-
-
-def constant_ones() -> CountingSequence:
-    """The unlabeled class with exactly one object of each size.
-
-    Its ordinary generating function is 1/(1-z), i.e. sequences of single
-    atoms; the irreducible counts are 1 at size 1 and 0 elsewhere.
-    """
-    return CountingSequence(
-        name="constant-1",
-        labeling="unlabeled",
-        period=1,
-        _fill=lambda n: [1] * (n + 1),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +294,6 @@ def unlabeled_tournament_count(n: int) -> int:
     return int(total)
 
 
-def unlabeled_tournaments() -> CountingSequence:
-    return CountingSequence(
-        name="unlabeled_tournaments",
-        labeling="unlabeled",
-        period=1,
-        _fill=_unlabeled_tournament_counts,
-    )
-
-
 # ---------------------------------------------------------------------------
 # user-supplied sequences
 # ---------------------------------------------------------------------------
@@ -392,14 +309,21 @@ def custom(
 
     The list must start with a_0 = 1, contain only nonnegative integers, and
     respect the declared period (zeros exactly off the multiples of p, with a
-    nonzero value on every covered multiple past the first).  Indices beyond
+    nonzero value on every covered multiple past the first).  A value that is
+    not an integer (one that ``operator.index`` refuses, such as a float or a
+    Fraction) raises NonIntegerCount; it is never rounded.  Indices beyond
     the list raise RangeError: a finite list cannot define the tail.
     """
     if labeling not in ("labeled", "unlabeled"):
         raise RangeError(f"unknown labeling {labeling!r}")
     if period < 1:
         raise PeriodMismatch("period must be a positive integer")
-    vals = [int(v) for v in values]
+    vals = []
+    for n, v in enumerate(values):
+        try:
+            vals.append(operator.index(v))
+        except TypeError:
+            raise NonIntegerCount(f"a_{n} = {v!r} is not an integer") from None
     if not vals:
         raise BadConstantTerm("empty value list")
     if vals[0] != 1:
@@ -432,13 +356,14 @@ def parse_custom_text(text: str, name: str = "custom") -> CountingSequence:
     """Parse the custom-sequence file format.
 
     Header lines ``labeling: labeled|unlabeled`` and ``period: p`` (in any
-    order), then one integer per line.  Blank lines and ``#`` comments are
-    ignored.
+    order, each at most once), then one integer per line.  Blank lines and
+    ``#`` comments are ignored.
     """
     labeling: str | None = None
     period = 1
     values: list[int] = []
-    for raw in text.splitlines():
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -446,6 +371,9 @@ def parse_custom_text(text: str, name: str = "custom") -> CountingSequence:
             key, _, val = line.partition(":")
             key = key.strip().lower()
             val = val.strip()
+            if key in seen:
+                raise RangeError(f"line {lineno}: repeated header {line!r}")
+            seen.add(key)
             if key == "labeling":
                 if val not in ("labeled", "unlabeled"):
                     raise RangeError(f"labeling must be labeled|unlabeled, got {val!r}")
@@ -490,64 +418,124 @@ def load_custom(path: str | Path) -> CountingSequence:
 # ---------------------------------------------------------------------------
 
 
-def _without_d(make: Callable[[], CountingSequence]) -> Callable[[int], CountingSequence]:
-    """Factory of a class with no d parameter: it exists for d = 1 only."""
+class _Class(NamedTuple):
+    """One catalog class, keyed by its CLI name in ``_CLASSES``.
 
-    def factory(d: int) -> CountingSequence:
-        if d != 1:
-            raise RangeError(
-                f"--d {d}: {make().name} has no d parameter; only --d 1 is defined"
-            )
-        return make()
+    A class that takes d is named ``name(d=…)`` and exists for every d >= 1;
+    any other is named ``name`` and exists for d = 1 only.  Its values are the
+    running product of ``factor(d, k)`` on the multiples k of the period,
+    unless it gives its own prefix ``fill``.
+    """
 
-    return factory
+    labeling: str
+    period: int = 1
+    takes_d: bool = False
+    decomposable: bool = True  # the rest stay out of catalog_classes
+    factor: Callable[[int, int], int] | None = None
+    fill: Callable[[int], list[int]] | None = None
 
 
-#: factories for classes addressable by name; values take the d parameter,
-#: and the parameterless classes refuse any d other than 1.
-CATALOG_FACTORIES: dict[str, Callable[[int], CountingSequence]] = {
-    "tournaments": lambda d: tournaments(d),
-    "linear_orders": lambda d: linear_orders(d),
-    "permutations": lambda d: permutations(d),
-    "matchings": lambda d: matchings(d),
-    "matchings_labeled": _without_d(matchings_labeled),
-    "linear_matchings": _without_d(linear_matchings),
-    "unlabeled_tournaments": _without_d(unlabeled_tournaments),
-    "constant-1": _without_d(constant_ones),
+#: one row per class, in the order of catalog_classes
+_CLASSES: dict[str, _Class] = {
+    "tournaments": _Class("labeled", takes_d=True, factor=lambda d, k: (d + 1) ** (k - 1)),
+    "linear_orders": _Class("labeled", takes_d=True, factor=lambda d, k: k**d),
+    "permutations": _Class("unlabeled", takes_d=True, factor=lambda d, k: k**d),
+    "matchings": _Class("unlabeled", takes_d=True, factor=lambda d, k: (2 * k - 1) ** d),
+    "matchings_labeled": _Class("labeled", 2, decomposable=False, factor=lambda d, k: k - 1),
+    "linear_matchings": _Class("labeled", 2, factor=lambda d, k: k * (k - 1) ** 2),
+    # looked up per call, so a patched module attribute takes effect
+    "unlabeled_tournaments": _Class("unlabeled", fill=lambda n: _unlabeled_tournament_counts(n)),
+    "constant-1": _Class("unlabeled", factor=lambda d, k: 1),
 }
 
 
 def resolve_class(name: str, d: int = 1) -> CountingSequence:
-    """Look up a catalog class by CLI name.
+    """The catalog class of a CLI name and d.
 
-    A class without a d parameter raises RangeError for any d other than 1.
+    Raises UnknownClass for a name not in the catalog, and RangeError for
+    d < 1, or for any d other than 1 of a class without a d parameter.
     """
-    from .errors import UnknownClass
-
     try:
-        factory = CATALOG_FACTORIES[name]
+        row = _CLASSES[name]
     except KeyError:
-        raise UnknownClass(
-            f"unknown class {name!r}; known: {', '.join(sorted(CATALOG_FACTORIES))}"
-        ) from None
-    return factory(d)
+        known = ", ".join(sorted(_CLASSES))
+        raise UnknownClass(f"unknown class {name!r}; known: {known}") from None
+    if not row.takes_d:
+        if d != 1:
+            raise RangeError(f"--d {d}: {name} has no d parameter; only --d 1 is defined")
+    elif d < 1:
+        raise RangeError(f"--d {d}: d must be a positive integer")
+    return CountingSequence(
+        name=f"{name}(d={d})" if row.takes_d else name,
+        labeling=row.labeling,
+        period=row.period,
+        _fill=row.fill or _running_product(partial(row.factor, d), row.period),
+    )
 
 
 def catalog_classes(d_max: int = 3) -> list[CountingSequence]:
-    """The classes meant by "every catalog class" in cross-cutting checks.
+    """The classes meant by "every catalog class" in cross-cutting checks:
+    the classes that take d for each d = 1..d_max, then the other
+    sequence-decomposable ones.
 
     The raw labeled matchings view is excluded on purpose: it is not
     sequence-decomposable (that is its documented role), so part-count and
     coefficient properties are not defined for it.
     """
-    out: list[CountingSequence] = []
-    for d in range(1, d_max + 1):
-        out.append(tournaments(d))
-        out.append(linear_orders(d))
-        out.append(permutations(d))
-        out.append(matchings(d))
-    out.append(linear_matchings())
-    out.append(unlabeled_tournaments())
-    out.append(constant_ones())
-    return out
+    with_d = [name for name, row in _CLASSES.items() if row.takes_d]
+    rest = [name for name, row in _CLASSES.items() if not row.takes_d and row.decomposable]
+    out = [resolve_class(name, d) for d in range(1, d_max + 1) for name in with_d]
+    return out + [resolve_class(name) for name in rest]
 
+
+def tournaments(d: int = 1) -> CountingSequence:
+    """Labeled d-multitournaments: (d+1)^C(n,2) orientations of multiplicities."""
+    return resolve_class("tournaments", d)
+
+
+def linear_orders(d: int = 1) -> CountingSequence:
+    """Labeled d-tuples of linear orders: (n!)^d."""
+    return resolve_class("linear_orders", d)
+
+
+def permutations(d: int = 1) -> CountingSequence:
+    """d-tuples of permutations, treated as unlabeled objects: (n!)^d."""
+    return resolve_class("permutations", d)
+
+
+def matchings(d: int = 1) -> CountingSequence:
+    """d-tuples of perfect matchings, unlabeled, indexed by the pair count n."""
+    return resolve_class("matchings", d)
+
+
+def matchings_labeled() -> CountingSequence:
+    """Raw labeled perfect matchings: (n−1)!! objects of even size n, period 2.
+
+    This view is kept for the reindexing pipeline; it is not
+    sequence-decomposable as a labeled class (see module docstring).
+    """
+    return resolve_class("matchings_labeled")
+
+
+def linear_matchings() -> CountingSequence:
+    """Pairs (linear order, linear order) composing to a perfect matching.
+
+    value(2k) = (2k)!·(2k−1)!!, value(odd) = 0.  This is the relabeling-stable
+    lift of the matchings class, and the labeled 2-periodic class the
+    asymptotic machinery actually applies to.
+    """
+    return resolve_class("linear_matchings")
+
+
+def unlabeled_tournaments() -> CountingSequence:
+    """Tournaments up to isomorphism, by the one-pass cycle-index filler."""
+    return resolve_class("unlabeled_tournaments")
+
+
+def constant_ones() -> CountingSequence:
+    """The unlabeled class with exactly one object of each size.
+
+    Its ordinary generating function is 1/(1-z), i.e. sequences of single
+    atoms; the irreducible counts are 1 at size 1 and 0 elsewhere.
+    """
+    return resolve_class("constant-1")

@@ -187,6 +187,7 @@ def test_termwise_products_keep_the_verdict(A, B, verdict):
     custom class, keeps the verdict its factors share."""
     product = [x * y for x, y in zip(_reduced_values(A, SURVEY_N), _reduced_values(B, SURVEY_N))]
     assert all(v.denominator == 1 for v in product)
+    product = [v.numerator for v in product]
     C = catalog.custom(product, "unlabeled", name=f"{A.name} * {B.name}")
     rep = audit(C, SURVEY_N)
     assert rep.verdict == verdict == audit(A, SURVEY_N).verdict == audit(B, SURVEY_N).verdict

@@ -1,5 +1,6 @@
 """Catalog counting sequences: closed forms, Burnside counts, custom classes."""
 
+from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, gcd, prod
 
@@ -13,6 +14,7 @@ from seqasym.decomposition import periodic_reindex
 from seqasym.errors import (
     BadConstantTerm,
     NegativeCount,
+    NonIntegerCount,
     PeriodMismatch,
     RangeError,
     UnknownClass,
@@ -163,6 +165,47 @@ def test_resolve_class_and_unknown():
         catalog.resolve_class("nosuch")
 
 
+def test_catalog_classes_order():
+    """The sweep's job list and the check order of the sumrule and recurrences
+    suites follow this order."""
+    assert [A.name for A in catalog.catalog_classes(3)] == [
+        "tournaments(d=1)",
+        "linear_orders(d=1)",
+        "permutations(d=1)",
+        "matchings(d=1)",
+        "tournaments(d=2)",
+        "linear_orders(d=2)",
+        "permutations(d=2)",
+        "matchings(d=2)",
+        "tournaments(d=3)",
+        "linear_orders(d=3)",
+        "permutations(d=3)",
+        "matchings(d=3)",
+        "linear_matchings",
+        "unlabeled_tournaments",
+        "constant-1",
+    ]
+
+
+TAKES_D = {"tournaments", "linear_orders", "permutations", "matchings"}
+
+
+@pytest.mark.parametrize("name", sorted(catalog._CLASSES))
+def test_d_rule(name):
+    assert catalog.resolve_class(name).name == (f"{name}(d=1)" if name in TAKES_D else name)
+    if name in TAKES_D:
+        assert catalog.resolve_class(name, 2).name == f"{name}(d=2)"
+        zero = "--d 0: d must be a positive integer"
+    else:
+        with pytest.raises(RangeError) as exc:
+            catalog.resolve_class(name, 2)
+        assert str(exc.value) == f"--d 2: {name} has no d parameter; only --d 1 is defined"
+        zero = f"--d 0: {name} has no d parameter; only --d 1 is defined"
+    with pytest.raises(RangeError) as exc:
+        catalog.resolve_class(name, 0)
+    assert str(exc.value) == zero
+
+
 def test_catalog_classes_membership():
     names = {A.name for A in catalog.catalog_classes()}
     assert "tournaments(d=1)" in names
@@ -187,6 +230,22 @@ def test_custom_validation():
         catalog.custom([1, 1, 2], "labeled", period=2)  # nonzero off support
     with pytest.raises(PeriodMismatch):
         catalog.custom([1, 0, 0, 0, 3], "labeled", period=2)  # zero on support
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1, 2.7, 5], "a_1 = 2.7 is not an integer"),
+        ([1, 1, Fraction(7, 2)], "a_2 = Fraction(7, 2) is not an integer"),
+        ([1, 2.0], "a_1 = 2.0 is not an integer"),
+    ],
+    ids=["float", "fraction", "integral-float"],
+)
+def test_custom_refuses_non_integers(values, message):
+    """A value that is not an integer is refused, never rounded."""
+    with pytest.raises(NonIntegerCount) as exc:
+        catalog.custom(values, "unlabeled")
+    assert str(exc.value) == message
 
 
 @given(

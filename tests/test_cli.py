@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from seqasym import cli
 from seqasym.asymptotics import CONSTRUCTIONS
-from seqasym.catalog import CATALOG_FACTORIES, resolve_class
+from seqasym.catalog import _CLASSES, resolve_class
 from seqasym.cli import main, parse_range
 from seqasym.errors import BudgetExceeded, RangeError
 from seqasym.oracle import ORACLE_KINDS, object_count
@@ -203,8 +203,16 @@ def test_custom_file_that_is_not_utf8_is_a_usage_error(runner, tmp_path, command
         ("labeling: unlabeled\nsize: 3\n1\n", "RangeError: unknown header line 'size: 3'"),
         ("labeling: unlabeled\nperiod: two\n1\n", "RangeError: bad period 'two'"),
         ("labeling: unlabeled\n2\n1\n", "BadConstantTerm: a_0 must be 1, got 2"),
+        (
+            "labeling: labeled\n# a comment\nlabeling: unlabeled\n1\n",
+            "RangeError: line 3: repeated header 'labeling: unlabeled'",
+        ),
+        (
+            "period: 1\nlabeling: unlabeled\nPeriod: 2\n1\n",
+            "RangeError: line 3: repeated header 'Period: 2'",
+        ),
     ],
-    ids=["labeling", "integer", "header", "period", "a0"],
+    ids=["labeling", "integer", "header", "period", "a0", "labeling-twice", "period-twice"],
 )
 def test_custom_file_errors_name_the_file(runner, tmp_path, command, text, error):
     f = tmp_path / "broken.seq"
@@ -857,7 +865,7 @@ def test_json_stdout_is_the_reference_document(runner, monkeypatch, args):
 # argument space: every call ends in a known exit code
 # ---------------------------------------------------------------------------
 
-CLASSES = sorted(CATALOG_FACTORIES)
+CLASSES = sorted(_CLASSES)
 FORMAT_NAMES = ["md", "csv", "json"]
 # d = 1 is the one value every class accepts; drawn about half the time
 D_VALUES = st.one_of(st.just(1), st.integers(min_value=-1, max_value=3))
