@@ -17,32 +17,43 @@ objects themselves.  The oracles know nothing about generating functions:
 * matchings(d): all ((2n-1)!!)^d tuples of perfect matchings of {1..2n};
   breakpoints are the even prefixes closed under every member;
 * unlabeled tournaments: one representative per isomorphism orbit, found by
-  ascending scan with orbit marking (the first unvisited code is the minimal
-  member of a fresh orbit, so each orbit is expanded once); the orbit is
-  read off precomputed relabeling columns, one XOR per set bit and
-  relabeling; parts come from the representative's scores by the same
-  Landau rule, with d = 1.
+  ascending scan with orbit marking (the first unvisited code, found by
+  ``bytearray.find``, is the minimal member of a fresh orbit, so each orbit
+  is expanded once); the relabelings are packed once per n into lanes of
+  Python ints, one 16-bit lane (up to 16 pairs) or 32-bit lane (up to 32)
+  per relabeling, so the orbit is one XOR of packed ints per set bit of the
+  representative, unpacked through ``memoryview.cast``; parts come from the
+  representative's scores by the same Landau rule, with d = 1.
 
 Each oracle tallies an exact invariant of its objects (a score multiset, a
 breakpoint mask) and turns each distinct value into a part count once; the
 tallies are asserted to sum to the number of objects.  Scores are folded
 in pair by pair, and a vertex's score joins a histogram once the vertex has
 played its last pair, so the keys merge to score histograms.  Breakpoint
-masks are tallied by one walk over prefix sets that expands each set once.
-One helper checks the arguments and the budget (in objects, not walk
-states; a size whose lower bound 2^(n-1) already exceeds the budget is
-refused without counting), times the tally and builds the result for every
-kind.  Tests run Tarjan, the per-object mask walks and per-object
-relabeling on every object at small sizes to check them.
+masks are tallied by one walk over prefix sets that expands each set once,
+carrying a plain dict from mask to multiplicity that each move folds into
+the next set's dict.  One helper checks n, resolves the class (the catalog
+words every refusal of d), applies the budget (in objects, not walk states;
+a size whose lower bound 2^(n-1) already exceeds the budget is refused
+without counting), times the tally and builds the result for every kind.
+Tests run Tarjan, the per-object mask walks and per-object relabeling on
+every object at small sizes to check them.
+
+Measured in-process (2-core VM, CPython 3.11.7, best of 7), the plain-dict
+walks and packed lanes against the Counter walks and per-relabeling lists
+they replace: the permutation grid row (d = 1, n <= 9) 6.7 -> 3.1 ms, the
+matching row (d = 1, n <= 6) 2.2 -> 1.2 ms, the unlabeled row (n <= 6)
+11.1 -> 5.0 ms; the tournament rows barely move (8.8 -> 8.2 ms at
+d = 1, n <= 7).  ``oracle --class unlabeled_tournaments --n 7`` (2^21 codes,
+456 orbits) takes 0.98 -> 0.29 s.  The README lists every row.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import catalog
 from .errors import BudgetExceeded, RangeError, UnknownClass
@@ -87,11 +98,17 @@ ORACLE_KINDS = ("tournaments", "permutations", "matchings", "unlabeled_tournamen
 DEFAULT_BUDGET = 3_000_000
 
 
-def _check(n: int, d: int) -> None:
+def _check(kind: str, n: int, d: int) -> catalog.CountingSequence:
+    """The catalog class of an oracle kind, after the n >= 1 rule.
+
+    ``catalog.resolve_class`` makes every refusal of d, so the oracle words
+    them as ``table`` and ``expansion`` do.
+    """
+    if kind not in ORACLE_KINDS:
+        raise UnknownClass(f"no oracle for {kind!r}")
     if n < 1:
         raise RangeError(f"--n {n}: need n >= 1")
-    if d < 1:
-        raise RangeError(f"--d {d}: need d >= 1")
+    return catalog.resolve_class(kind, d)
 
 
 def object_count(kind: str, n: int, d: int = 1) -> int:
@@ -100,12 +117,9 @@ def object_count(kind: str, n: int, d: int = 1) -> int:
     That is the catalog count of the kind, except that the unlabeled
     tournament oracle scans the codes of the labeled tournaments(1).
     """
-    _check(n, d)
-    if kind not in ORACLE_KINDS:
-        raise UnknownClass(f"no oracle for {kind!r}")
     if kind == "unlabeled_tournaments":
         kind, d = "tournaments", 1
-    return catalog.resolve_class(kind, d).value(n)
+    return _check(kind, n, d).value(n)
 
 
 def _enumerate(
@@ -113,7 +127,7 @@ def _enumerate(
     n: int,
     d: int,
     budget: int | None,
-    tally: Callable[[], tuple[Counter[int], int]],
+    tally: Callable[[], tuple[dict[int, int], int]],
 ) -> OracleResult:
     """Check n, d and the budget, then time ``tally() -> (counts, total)``.
 
@@ -121,7 +135,7 @@ def _enumerate(
     length is refused before its exact count, which at n in the thousands
     has millions of digits, is formed or printed.
     """
-    _check(n, d)
+    _check(kind, n, d)
     if budget is not None:
         if n - 1 >= budget.bit_length():
             raise BudgetExceeded(
@@ -167,14 +181,15 @@ def enumerate_tournament_parts(
     smallest, and the sizes k of such sets are the part boundaries.
     """
 
-    def tally() -> tuple[Counter[int], int]:
+    def tally() -> tuple[dict[int, int], int]:
         pairs, _ = _pair_table(n)
         total = (d + 1) ** len(pairs)
         multisets = _score_tally(n, pairs, d)
         assert sum(multisets.values()) == total, "tally skipped or repeated outcomes"
-        counts: Counter[int] = Counter()
+        counts: dict[int, int] = {}
         for multiset, c in multisets.items():
-            counts[_landau_parts(multiset, d)] += c
+            parts = _landau_parts(multiset, d)
+            counts[parts] = counts.get(parts, 0) + c
         return counts, total
 
     return _enumerate("tournaments", n, d, budget, tally)
@@ -202,7 +217,8 @@ def _score_tally(n: int, pairs: list[tuple[int, int]], d: int) -> dict[tuple[int
         get = folded.get
         for key, c in tally.items():
             for step in steps:
-                folded[key + step] = get(key + step, 0) + c
+                k = key + step
+                folded[k] = get(k, 0) + c
         tally = folded
         for v in (i, j):
             if last_pair[v] == idx:
@@ -254,34 +270,39 @@ def _landau_parts(scores: Iterable[int], d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _closure_tally(moves: Callable[[int], Iterable[int]], rounds: int, step: int) -> Counter[int]:
+def _closure_tally(moves: Callable[[int], Iterable[int]], rounds: int, step: int) -> dict[int, int]:
     """Tally of breakpoint masks over every object built by ``rounds`` moves.
 
     A state is the set T of points taken so far, and ``moves(T)`` yields the
     states one move on.  A state equal to the first k*step points sets bit
     k-1 of the mask.  The future of a state depends on T alone, so each set
-    is expanded once, carrying the tally of the masks that lead to it.
+    is expanded once, carrying the tally of the masks that lead to it in a
+    plain dict.
     """
-    level = {0: Counter({0: 1})}
+    level = {0: {0: 1}}
     for _ in range(rounds):
-        folded: dict[int, Counter[int]] = {}
+        folded: dict[int, dict[int, int]] = {}
         for taken, masks in level.items():
             for t in moves(taken):
                 bit = 1 << (t.bit_count() // step - 1) if t & (t + 1) == 0 else 0
-                into = folded.setdefault(t, Counter())
+                into = folded.get(t)
+                if into is None:
+                    folded[t] = into = {}
+                get = into.get
                 for mask, c in masks.items():
-                    into[mask | bit] += c
+                    mask |= bit
+                    into[mask] = get(mask, 0) + c
         level = folded
     (tally,) = level.values()
     return tally
 
 
-def _permutation_masks(n: int) -> Counter[int]:
+def _permutation_masks(n: int) -> dict[int, int]:
     """Masks of the permutations of {1..n}: a move places any unused value."""
     return _closure_tally(lambda t: (t | 1 << v for v in range(n) if not t >> v & 1), n, 1)
 
 
-def _matching_masks(pairs: int) -> Counter[int]:
+def _matching_masks(pairs: int) -> dict[int, int]:
     """Masks of the perfect matchings of {0..2·pairs-1}: a move pairs the
     first free point with any later free point."""
 
@@ -292,7 +313,7 @@ def _matching_masks(pairs: int) -> Counter[int]:
     return _closure_tally(moves, pairs, 2)
 
 
-def _common_breakpoints(tally: Counter[int], d: int) -> tuple[Counter[int], int]:
+def _common_breakpoints(tally: dict[int, int], d: int) -> tuple[dict[int, int], int]:
     """Tally of common-breakpoint counts over all d-tuples of members, and
     the number of d-tuples, from the tally of the members' masks.
 
@@ -300,13 +321,14 @@ def _common_breakpoints(tally: Counter[int], d: int) -> tuple[Counter[int], int]
     d-tuples of distinct masks are visited, each weighted by the product of
     their multiplicities.
     """
-    counts: Counter[int] = Counter()
+    counts: dict[int, int] = {}
     for members in itertools.product(tally.items(), repeat=d):
         common, weight = -1, 1
         for mask, c in members:
             common &= mask
             weight *= c
-        counts[common.bit_count()] += weight
+        parts = common.bit_count()
+        counts[parts] = counts.get(parts, 0) + weight
     total = sum(tally.values()) ** d
     assert sum(counts.values()) == total, "tuples skipped or repeated"
     return counts, total
@@ -317,7 +339,7 @@ def enumerate_permutation_parts(
 ) -> OracleResult:
     """Part-count distribution over all (n!)^d permutation tuples."""
 
-    def tally() -> tuple[Counter[int], int]:
+    def tally() -> tuple[dict[int, int], int]:
         return _common_breakpoints(_permutation_masks(n), d)
 
     return _enumerate("permutations", n, d, budget, tally)
@@ -328,7 +350,7 @@ def enumerate_matching_parts(
 ) -> OracleResult:
     """Part-count distribution over all ((2n-1)!!)^d matching tuples."""
 
-    def tally() -> tuple[Counter[int], int]:
+    def tally() -> tuple[dict[int, int], int]:
         return _common_breakpoints(_matching_masks(pairs), d)
 
     return _enumerate("matchings", pairs, d, budget, tally)
@@ -339,32 +361,55 @@ def enumerate_matching_parts(
 # ---------------------------------------------------------------------------
 
 
-def _relabel_columns(n: int) -> tuple[list[int], list[list[int]]]:
-    """``flips[p]`` and ``columns[src][p]`` for every relabeling p of
-    {0..n-1}, in ``itertools.permutations`` order.
+class _Lanes(NamedTuple):
+    """The relabelings of {0..n-1}, packed one lane per relabeling p (in
+    ``itertools.permutations`` order) into a Python int: lane p is the p-th
+    item of the int's bytes read as memoryview format ``fmt``."""
+
+    flips: int  # lane p: the bits of code 0 that p inverts
+    columns: list[int]  # columns[src], lane p: the bit that pair src lands on
+    fmt: str  # "H" (16-bit lanes, up to 16 pairs) or "I" (32-bit, up to 32)
+    nbytes: int
+
+
+def _relabel_columns(n: int) -> _Lanes:
+    """The packed relabeling lanes of n vertices.
 
     Relabeling p sends pair src = (i, j) to the pair {p[i], p[j]}: bit src of
-    a code moves to that pair's index, inverted when p[i] > p[j].  So the
-    image of a code is ``flips[p]`` (the inverted bits of code 0) XOR-ed with
-    ``columns[src][p]`` (the bit src lands on) for each set bit src.
+    a code moves to that pair's index, inverted when p[i] > p[j].  So lane p
+    of the image of a code is lane p of ``flips`` XOR-ed with lane p of
+    ``columns[src]`` for each set bit src, and one XOR of whole ints does
+    that for every p at once.
     """
     pairs, pos = _pair_table(n)
+    assert len(pairs) <= 32, "lanes hold at most 32 pairs"
     bit = [[0] * n for _ in range(n)]  # bit[a][b]: the bit of pair {a, b}
     for (a, b), idx in pos.items():
         bit[a][b] = bit[b][a] = 1 << idx
     perms = list(itertools.permutations(range(n)))
-    columns = [[bit[p[i]][p[j]] for p in perms] for i, j in pairs]
-    flips = [sum(bit[p[i]][p[j]] for i, j in pairs if p[i] > p[j]) for p in perms]
-    return flips, columns
+    fmt, size = ("H", 2) if len(pairs) <= 16 else ("I", 4)
+    nbytes = size * len(perms)
+
+    def pack(lanes: Iterable[int]) -> int:
+        buf = bytearray(nbytes)
+        view = memoryview(buf).cast(fmt)
+        for p, lane in enumerate(lanes):
+            view[p] = lane
+        return int.from_bytes(buf, "little")
+
+    columns = [pack(bit[p[i]][p[j]] for p in perms) for i, j in pairs]
+    flips = pack(sum(bit[p[i]][p[j]] for i, j in pairs if p[i] > p[j]) for p in perms)
+    return _Lanes(flips, columns, fmt, nbytes)
 
 
-def _relabelings(code: int, flips: list[int], columns: list[list[int]]) -> list[int]:
-    """The images of a code under every relabeling, one column per set bit."""
-    images = flips
-    for src, column in enumerate(columns):
+def _relabelings(code: int, lanes: _Lanes) -> memoryview:
+    """The images of a code under every relabeling: one XOR per set bit,
+    then the lanes unpacked."""
+    packed = lanes.flips
+    for src, column in enumerate(lanes.columns):
         if code >> src & 1:
-            images = [x ^ bit for x, bit in zip(images, column)]
-    return images
+            packed ^= column
+    return memoryview(packed.to_bytes(lanes.nbytes, "little")).cast(lanes.fmt)
 
 
 def enumerate_unlabeled_tournament_parts(
@@ -375,27 +420,28 @@ def enumerate_unlabeled_tournament_parts(
     Scans codes in ascending order; the first unvisited code is the minimal
     member of a fresh orbit and serves as its representative.  Marking the
     whole orbit visited means every orbit is expanded and counted once.  The
-    orbit comes from the relabeling columns of ``_relabel_columns``, and the
+    orbit comes from the relabeling lanes of ``_relabel_columns``, and the
     representative's parts from its scores (bit idx of the code is set when
     the first vertex of pair idx wins) by Landau's rule.
     """
 
-    def tally() -> tuple[Counter[int], int]:
+    def tally() -> tuple[dict[int, int], int]:
         pairs, _ = _pair_table(n)
-        flips, columns = _relabel_columns(n)
-        counts: Counter[int] = Counter()
+        lanes = _relabel_columns(n)
+        counts: dict[int, int] = {}
         visited = bytearray(1 << len(pairs))
-        for code in range(len(visited)):
-            if visited[code]:
-                continue
-            orbit = set(_relabelings(code, flips, columns))
+        code = 0
+        while code >= 0:
+            orbit = _relabelings(code, lanes)
             for c in orbit:
                 visited[c] = 1
             assert min(orbit) == code  # earlier codes of the orbit are visited
             scores = [0] * n
             for idx, (i, j) in enumerate(pairs):
                 scores[i if code >> idx & 1 else j] += 1
-            counts[_landau_parts(scores, 1)] += 1
+            parts = _landau_parts(scores, 1)
+            counts[parts] = counts.get(parts, 0) + 1
+            code = visited.find(0, code + 1)
         return counts, sum(counts.values())
 
     return _enumerate("unlabeled_tournaments", n, 1, budget, tally)

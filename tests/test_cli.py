@@ -735,11 +735,11 @@ def test_unknown_class_exit_code(runner, command):
         (["audit", "--class", "permutations", "--N", "20", "--d", "0"], "--d 0: "),
         (["audit", "--class", "tournaments", "--N", "9"], "--N 9: audit needs N >= 10"),
         (["oracle", "--class", "tournaments", "--n", "-1"], "--n -1: need n >= 1"),
-        (["oracle", "--class", "tournaments", "--n", "3", "--d", "0"], "--d 0: need d >= 1"),
+        (["oracle", "--class", "tournaments", "--n", "3", "--d", "0"], "--d 0: d must be a positive integer"),
         # refused as a range error before the budget is consulted
         (
             ["oracle", "--class", "tournaments", "--n", "3", "--d", "0", "--budget", "0"],
-            "--d 0: need d >= 1",
+            "--d 0: d must be a positive integer",
         ),
         (
             ["oracle", "--class", "unlabeled_tournaments", "--n", "3", "--d", "2",

@@ -242,13 +242,23 @@ def test_unlabeled_enumeration_matches_counting_table():
         assert res.total_enumerated == A.value(n)
 
 
+def test_unlabeled_enumeration_at_seven_vertices():
+    """Past the oracle grid: all 2^21 codes in 456 orbits, on 32-bit lanes,
+    against Burnside's count and the parts table in every m."""
+    res = enumerate_unlabeled_tournament_parts(7)
+    assert res.total_enumerated == catalog.unlabeled_tournament_count(7) == 456
+    table = parts_table(catalog.unlabeled_tournaments(), 7, 7)
+    assert [res.count(m) for m in range(1, 8)] == [table.entries(7, m) for m in range(1, 8)]
+    assert sum(res.counts_by_parts.values()) == 456
+
+
 def test_unlabeled_shards_expand_each_orbit_once(monkeypatch):
     """One ascending walk expands each orbit exactly once, at its minimum."""
     expanded = []
     relabelings = oracle._relabelings
 
-    def counting(code, flips, columns):
-        images = relabelings(code, flips, columns)
+    def counting(code, lanes):
+        images = relabelings(code, lanes)
         expanded.append((code, set(images)))
         return images
 
@@ -278,19 +288,41 @@ def _relabel_columns_loop(n):
     return flips, columns
 
 
+def _unpack(packed, lanes):
+    """The lanes of one packed int, in permutation order."""
+    return memoryview(packed.to_bytes(lanes.nbytes, "little")).cast(lanes.fmt).tolist()
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_relabeling_columns_match_the_entrywise_loop(n):
-    assert _relabel_columns(n) == _relabel_columns_loop(n)
+    lanes = _relabel_columns(n)
+    assert lanes.fmt == "H"  # 16-bit lanes up to 16 pairs
+    flips, columns = _relabel_columns_loop(n)
+    assert _unpack(lanes.flips, lanes) == flips
+    assert [_unpack(column, lanes) for column in lanes.columns] == columns
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_relabeling_columns_match_every_relabeling(n):
-    """Column images against per-object relabeling, for every code and every
-    permutation, in the same permutation order."""
-    flips, columns = _relabel_columns(n)
+    """Packed-lane images against per-object relabeling, for every code and
+    every permutation, in the same permutation order."""
+    lanes = _relabel_columns(n)
     actions = _relabel_actions(n)
-    for code in range(2 ** len(columns)):
-        assert _relabelings(code, flips, columns) == [_apply_action(code, row) for row in actions]
+    for code in range(2 ** len(lanes.columns)):
+        images = _relabelings(code, lanes).tolist()
+        assert images == [_apply_action(code, row) for row in actions]
+
+
+def test_relabeling_lanes_of_32_bits_match_every_relabeling():
+    """At n = 7 (21 pairs) the lanes are 32 bits wide: a few dozen codes,
+    spread over all 2^21, against per-object relabeling by all 5040
+    permutations."""
+    lanes = _relabel_columns(7)
+    assert lanes.fmt == "I" and len(lanes.columns) == 21
+    actions = _relabel_actions(7)
+    for code in [0, 2**21 - 1, *range(1, 2**21, 2**21 // 30 + 1)]:
+        images = _relabelings(code, lanes).tolist()
+        assert images == [_apply_action(code, row) for row in actions], code
 
 
 def test_landau_rule_on_known_tournaments():
@@ -382,7 +414,7 @@ def test_object_counts():
 
 @pytest.mark.parametrize("kind,n,d", [("tournaments", 3, 0), ("permutations", 3, -1)])
 def test_object_count_refuses_d_below_one(kind, n, d):
-    with pytest.raises(RangeError, match=f"^--d {d}: need d >= 1$"):
+    with pytest.raises(RangeError, match=f"^--d {d}: d must be a positive integer$"):
         object_count(kind, n, d)
 
 
