@@ -363,8 +363,8 @@ def enumerate_matching_parts(
 
 class _Lanes(NamedTuple):
     """The relabelings of {0..n-1}, packed one lane per relabeling p (in
-    ``itertools.permutations`` order) into a Python int: lane p is the p-th
-    item of the int's bytes read as memoryview format ``fmt``."""
+    ``itertools.permutations`` order) into a Python int: lane p is item p of
+    ``memoryview(x.to_bytes(nbytes, "little")).cast(fmt)``."""
 
     flips: int  # lane p: the bits of code 0 that p inverts
     columns: list[int]  # columns[src], lane p: the bit that pair src lands on
@@ -441,7 +441,7 @@ def enumerate_unlabeled_tournament_parts(
                 scores[i if code >> idx & 1 else j] += 1
             parts = _landau_parts(scores, 1)
             counts[parts] = counts.get(parts, 0) + 1
-            code = visited.find(0, code + 1)
+            code = visited.find(0, code + 1)  # -1 once every code is marked
         return counts, sum(counts.values())
 
     return _enumerate("unlabeled_tournaments", n, 1, budget, tally)

@@ -1,7 +1,7 @@
 """Brute-force enumerators: frozen small cases, budgets, canonicalization,
 the weighted Landau rule against Tarjan, the score-multiset tally against
-every outcome, the relabeling columns against per-object relabeling and
-the entry-by-entry loop, the prefix-set walk against the per-object
+every outcome, the packed relabeling lanes against per-object relabeling
+and the entry-by-entry loop, the prefix-set walk against the per-object
 breakpoint masks, grouped breakpoint tallies.
 
 Tarjan's algorithm with the chain check on the condensation, the
