@@ -41,7 +41,7 @@ from .asymptotics import (
 from .audit import audit
 from .decomposition import parts_table
 from .errors import RangeError, SeqasymError
-from .oracle import DEFAULT_BUDGET, ORACLE_KINDS, oracle_for
+from .oracle import DEFAULT_BUDGET, ORACLE_KINDS, oracle_for, reference_class
 from .render import approx, frac_str, grid_csv, grid_markdown, write_json
 from .suites import MEMBER_SUITES, SUITE_NAMES, oracle_mismatch, run_suite
 
@@ -480,7 +480,7 @@ def cmd_oracle(class_name, n_value, d, budget, fmt):
     _emit(fmt, config, payload, human)
     if fmt == "md":
         click.echo(f"elapsed: {result.elapsed:.3f}s", err=True)
-    A = catalog.resolve_class(class_name, d)
+    A = reference_class(class_name, d)
     bad = oracle_mismatch(result, A, parts_table(A, n_value, n_value))
     if bad:
         click.echo(f"mismatch with the parts table: {bad}", err=True)

@@ -32,12 +32,22 @@ in pair by pair, and a vertex's score joins a histogram once the vertex has
 played its last pair, so the keys merge to score histograms.  Breakpoint
 masks are tallied by one walk over prefix sets that expands each set once,
 carrying a plain dict from mask to multiplicity that each move folds into
-the next set's dict.  One helper checks n, resolves the class (the catalog
-words every refusal of d), applies the budget (in objects, not walk states;
-a size whose lower bound 2^(n-1) already exceeds the budget is refused
-without counting), times the tally and builds the result for every kind.
-Tests run Tarjan, the per-object mask walks and per-object relabeling on
-every object at small sizes to check them.
+the next set's dict.
+
+Each kind is one row of ``_KINDS``: its public entry point, its display
+name, the catalog class whose values count its raw objects where that is
+not its own (the unlabeled kind scans the codes of tournaments(1)), and its
+largest n where it has one (the unlabeled kind's lanes take n <= 8).  Its
+reference class is ``catalog.resolve_class(kind, d)``, resolved by
+``reference_class`` alone, so the catalog words every refusal of d.
+``object_count``, ``oracle_for`` and the one helper every entry point runs
+through read the row; the helper checks n and d, applies the budget (in
+objects, not walk states; a size whose lower bound 2^(n-1) already exceeds
+the budget is refused without counting), then the row's largest n, times
+the tally and builds the result.  A new kind is one row, its tally and its
+own test, kept off the seven-row ``ORACLE_GRID``.  Tests run Tarjan, the
+per-object mask walks and per-object relabeling on every object at small
+sizes to check them.
 
 Measured in-process (2-core VM, CPython 3.11.7, best of 7), the plain-dict
 walks and packed lanes against the Counter walks and per-relabeling lists
@@ -66,6 +76,7 @@ __all__ = [
     "enumerate_matching_parts",
     "enumerate_unlabeled_tournament_parts",
     "oracle_for",
+    "reference_class",
     "ORACLE_KINDS",
 ]
 
@@ -89,37 +100,79 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# object counts, budgets and the one helper every enumerator runs through
+# the oracle kinds, and the one helper every enumerator runs through
 # ---------------------------------------------------------------------------
 
-ORACLE_KINDS = ("tournaments", "permutations", "matchings", "unlabeled_tournaments")
+
+class _Kind(NamedTuple):
+    """One oracle kind.  Its reference class, whose count and parts table the
+    tally must match, is ``catalog.resolve_class(kind, d)`` for every kind."""
+
+    # the public entry point as (n, d, budget); a lambda, so that it looks up
+    # the module global at call time and a wrapper bound there later (as the
+    # benchmark's tracer binds one) sees every call
+    run: Callable[[int, int, int | None], OracleResult]
+    name: str  # display name, formatted with d
+    # catalog key whose values at d count the raw objects, if not the kind's own
+    scans: str | None = None
+    n_max: int | None = None  # largest n the tally can take
+
+
+_KINDS: dict[str, _Kind] = {
+    "tournaments": _Kind(
+        lambda n, d, budget: enumerate_tournament_parts(n, d, budget), "tournaments(d={d})"
+    ),
+    "permutations": _Kind(
+        lambda n, d, budget: enumerate_permutation_parts(n, d, budget), "permutations(d={d})"
+    ),
+    "matchings": _Kind(
+        lambda n, d, budget: enumerate_matching_parts(n, d, budget), "matchings(d={d})"
+    ),
+    # scans the codes of tournaments(1); 32-bit lanes hold C(8, 2) = 28 pairs
+    "unlabeled_tournaments": _Kind(
+        lambda n, d, budget: enumerate_unlabeled_tournament_parts(n, budget),
+        "unlabeled tournaments",
+        scans="tournaments",
+        n_max=8,
+    ),
+}
+
+ORACLE_KINDS = tuple(_KINDS)
 
 # default enumeration budget of ``seqasym oracle``
 DEFAULT_BUDGET = 3_000_000
 
 
-def _check(kind: str, n: int, d: int) -> catalog.CountingSequence:
-    """The catalog class of an oracle kind, after the n >= 1 rule.
+def _row(kind: str) -> _Kind:
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise UnknownClass(f"no oracle for {kind!r}") from None
+
+
+def reference_class(kind: str, d: int = 1) -> catalog.CountingSequence:
+    """The class whose count and parts table an oracle kind's tally must match.
 
     ``catalog.resolve_class`` makes every refusal of d, so the oracle words
     them as ``table`` and ``expansion`` do.
     """
-    if kind not in ORACLE_KINDS:
-        raise UnknownClass(f"no oracle for {kind!r}")
-    if n < 1:
-        raise RangeError(f"--n {n}: need n >= 1")
+    _row(kind)
     return catalog.resolve_class(kind, d)
 
 
-def object_count(kind: str, n: int, d: int = 1) -> int:
-    """How many raw objects the oracle would visit (the enumeration budget).
+def _check(kind: str, n: int, d: int) -> tuple[_Kind, catalog.CountingSequence]:
+    """The row and reference class of an oracle kind, after the n >= 1 rule."""
+    row = _row(kind)
+    if n < 1:
+        raise RangeError(f"--n {n}: need n >= 1")
+    return row, reference_class(kind, d)
 
-    That is the catalog count of the kind, except that the unlabeled
-    tournament oracle scans the codes of the labeled tournaments(1).
-    """
-    if kind == "unlabeled_tournaments":
-        kind, d = "tournaments", 1
-    return _check(kind, n, d).value(n)
+
+def object_count(kind: str, n: int, d: int = 1) -> int:
+    """How many raw objects the oracle would visit (the enumeration budget):
+    the count of the reference class, or of the class the kind's row scans."""
+    row, A = _check(kind, n, d)
+    return (A if row.scans is None else catalog.resolve_class(row.scans, d)).value(n)
 
 
 def _enumerate(
@@ -129,13 +182,14 @@ def _enumerate(
     budget: int | None,
     tally: Callable[[], tuple[dict[int, int], int]],
 ) -> OracleResult:
-    """Check n, d and the budget, then time ``tally() -> (counts, total)``.
+    """Check n, d, the budget and the row's largest n, then time
+    ``tally() -> (counts, total)``.
 
     Every kind has at least 2^(n-1) objects, so a size past the budget's bit
     length is refused before its exact count, which at n in the thousands
     has millions of digits, is formed or printed.
     """
-    _check(kind, n, d)
+    row, _ = _check(kind, n, d)
     if budget is not None:
         if n - 1 >= budget.bit_length():
             raise BudgetExceeded(
@@ -144,13 +198,13 @@ def _enumerate(
         objects = object_count(kind, n, d)
         if objects > budget:
             raise BudgetExceeded(f"{kind} n={n} d={d}: {objects} objects exceed budget {budget}")
+    if row.n_max is not None and n > row.n_max:
+        raise RangeError(f"--n {n}: the {kind} oracle takes n <= {row.n_max}")
     t0 = time.perf_counter()
     counts, total = tally()
     elapsed = time.perf_counter() - t0
     return OracleResult(
-        class_name=(
-            "unlabeled tournaments" if kind == "unlabeled_tournaments" else f"{kind}(d={d})"
-        ),
+        class_name=row.name.format(d=d),
         n=n,
         counts_by_parts=dict(sorted(counts.items())),
         total_enumerated=total,
@@ -453,14 +507,7 @@ def enumerate_unlabeled_tournament_parts(
 
 
 def oracle_for(kind: str, n: int, d: int = 1, budget: int | None = None) -> OracleResult:
-    """Run the enumerator for a catalog class key."""
-    if kind == "tournaments":
-        return enumerate_tournament_parts(n, d, budget)
-    if kind == "permutations":
-        return enumerate_permutation_parts(n, d, budget)
-    if kind == "matchings":
-        return enumerate_matching_parts(n, d, budget)
-    if kind == "unlabeled_tournaments":
-        catalog.resolve_class(kind, d)  # refuses any d other than 1
-        return enumerate_unlabeled_tournament_parts(n, budget)
-    raise UnknownClass(f"no oracle for {kind!r}")
+    """Run the entry point of an oracle kind, after the refusals of n and d
+    (the unlabeled entry point takes no d)."""
+    row, _ = _check(kind, n, d)
+    return row.run(n, d, budget)

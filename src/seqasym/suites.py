@@ -26,7 +26,7 @@ from .decomposition import (
     verify_simple_recurrence,
 )
 from .errors import RangeError
-from .oracle import OracleResult, object_count, oracle_for
+from .oracle import OracleResult, object_count, oracle_for, reference_class
 from .reference_tables import (
     APPENDIX_ORDER,
     COMTET_NUMERATORS,
@@ -124,7 +124,7 @@ def suite_oracle(budget: int | None = None) -> list[Check]:
         if budget is not None and worst > budget:
             checks.append(Check(name, "skip", f"{worst} objects exceed budget {budget}"))
             continue
-        A = catalog.resolve_class(kind, d)
+        A = reference_class(kind, d)
         expected = parts_table(A, n_max, n_max)
         mismatches = (
             oracle_mismatch(oracle_for(kind, n, d), A, expected) for n in range(1, n_max + 1)

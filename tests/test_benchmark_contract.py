@@ -189,3 +189,17 @@ def test_oracle_grid_object_counts_are_pinned(harness):
         for kind, d, n_max in ORACLE_GRID
     }
     assert objects == GRID_OBJECTS
+
+
+def test_traced_oracle_pass_counts_every_grid_row(tmp_path):
+    """The tracer counts oracle.<row>.objects only in its wrappers of the
+    enumerate_* entry points, so an oracle_for that reached an entry point
+    bound before the tracer was installed would leave its row short."""
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([[["verify", "--suite", "oracle"], 0]]))
+    res = run_python(str(PERFBENCH / "worker.py"), "--jobs-file", str(jobs), "--trace")
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert [job["status"] for job in report["jobs"]] == [0]
+    objects = {row: report["layers"][f"oracle.{row}.objects"][0] for row in GRID_OBJECTS}
+    assert objects == GRID_OBJECTS

@@ -628,6 +628,16 @@ def test_oracle_default_budget_refuses_before_allocating(runner):
     assert "BudgetExceeded" in res.output and "budget 3000000" in res.output
 
 
+def test_oracle_refuses_unlabeled_sizes_past_its_lanes(runner):
+    """Past the default budget's refusal, n = 9 (36 pairs) is refused as a
+    range error, since the 32-bit relabeling lanes hold at most 32 pairs."""
+    res = invoke(runner, "oracle", "--class", "unlabeled_tournaments", "--n", "9",
+                 "--budget", "100000000000")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("RangeError: --n 9:"), res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
 def test_oracle_default_budget_counts_permutations_not_walk_states(runner):
     """10! = 3,628,800 permutations exceed the default budget, although the
     prefix-set walk would visit only 2^10 sets."""

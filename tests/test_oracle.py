@@ -19,7 +19,7 @@ import pytest
 
 from seqasym import catalog, oracle
 from seqasym.decomposition import parts_table
-from seqasym.errors import BudgetExceeded, RangeError, UnknownClass
+from seqasym.errors import BudgetExceeded, RangeError, SeqasymError, UnknownClass
 from seqasym.oracle import (
     ORACLE_KINDS,
     _common_breakpoints,
@@ -425,12 +425,23 @@ def test_object_count_refuses_n_below_one(kind, n):
         object_count(kind, n)
 
 
+def _refusal(call, *args):
+    """The error type and message a call refuses its arguments with, or None."""
+    try:
+        call(*args)
+    except SeqasymError as e:
+        return type(e), str(e)
+    return None
+
+
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
 def test_object_count_is_at_least_two_to_the_n_minus_one(kind):
-    """The lower bound the budget check refuses by before counting."""
-    for n in range(1, 13):
-        for d in range(1, 4):
-            assert object_count(kind, n, d) >= 2 ** (n - 1), (n, d)
+    """The lower bound the budget check refuses by before counting, at every
+    d the kind takes."""
+    for d in range(1, 4):
+        if _refusal(oracle.reference_class, kind, d) is None:
+            for n in range(1, 13):
+                assert object_count(kind, n, d) >= 2 ** (n - 1), (n, d)
 
 
 def test_budget_refusal_past_the_lower_bound_counts_nothing(monkeypatch):
@@ -470,6 +481,21 @@ def test_oracle_dispatch_domain_errors():
         enumerate_tournament_parts(0)
     with pytest.raises(RangeError, match="^--d 0: "):
         oracle_for("matchings", 2, d=0)
+    # the budget count and the run refuse the same arguments alike, every kind
+    for kind in ORACLE_KINDS:
+        takes_d = _refusal(oracle.reference_class, kind, 2) is None
+        cases = [(0, 1, "--n 0: "), (3, 0, "--d 0: "), (3, 2, "--d 2: "), (0, 2, "--n 0: ")]
+        for n, d, named in cases:
+            refusal = _refusal(object_count, kind, n, d)
+            assert refusal == _refusal(oracle_for, kind, n, d), (kind, n, d)
+            if (n, d) == (3, 2) and takes_d:
+                assert refusal is None, kind
+            else:
+                assert refusal[1].startswith(named), (kind, n, d, refusal)
+    assert _refusal(object_count, "unlabeled_tournaments", 4, 2) == (
+        RangeError,
+        "--d 2: unlabeled_tournaments has no d parameter; only --d 1 is defined",
+    )
 
 
 def test_oracle_mismatch_names_the_first_disagreement():
