@@ -396,7 +396,8 @@ def parse_custom_text(text: str, name: str = "custom") -> CountingSequence:
 
 
 def load_custom(path: str | Path) -> CountingSequence:
-    """Read a custom class file (UTF-8 text, see :func:`parse_custom_text`).
+    """Read a custom class file (UTF-8 text, see :func:`parse_custom_text`);
+    a leading byte-order mark is skipped.
 
     Every error in the file names its path: a file that is not UTF-8 raises
     RangeError, and an error of :func:`parse_custom_text` is raised again as
@@ -404,7 +405,7 @@ def load_custom(path: str | Path) -> CountingSequence:
     """
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise RangeError(f"custom class file {str(p)!r} is not UTF-8 text: {exc}") from None
     try:

@@ -14,6 +14,17 @@ exits with the error's code.  Timings go to stderr only: ``audit`` and
 ``verify`` always end with ``elapsed: X.XXXs`` there, ``oracle`` in md;
 ``verify`` writes ``elapsed <suite>: X.XXXs`` before it for each suite run.
 
+The JSON ``result`` of ``expansion``, ``audit``, ``oracle`` and ``verify`` is
+the record the library returned (``ExpansionReport`` and its ``ExpansionTerm``
+records, ``AuditReport``, ``OracleResult``, each ``Check``), its fields copied
+shallowly under their own names, except where the document differs:
+``class_name`` is written as ``class``; ``audit`` groups its four
+sufficient-condition flags under ``sufficient_flags``; ``oracle`` drops
+``elapsed`` and writes ``counts_by_parts`` as ``[m, count]`` pairs; ``verify``
+writes each ``Check`` as its three fields, beside the suite and its tallies.
+A new record field thus reaches JSON with no edit here.  ``table`` has no
+record; its result is built here.
+
 Every command computes its whole result before it writes a byte, so an error
 prints nothing on stdout.  JSON is then written as it is encoded
 (``render.write_json``), which keeps a document of huge exact numbers from
@@ -24,6 +35,7 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import fields
 from typing import Callable
 
 import click
@@ -74,6 +86,15 @@ def _resolve(class_name: str | None, d: int, custom: str | None) -> catalog.Coun
     if class_name is None:
         raise RangeError("either --class or --custom is required")
     return catalog.resolve_class(class_name, d)
+
+
+def _fields(record) -> dict:
+    """A library record's fields, copied shallowly, under their own names
+    but ``class_name``, which is written as ``class``."""
+    return {
+        "class" if f.name == "class_name" else f.name: getattr(record, f.name)
+        for f in fields(record)
+    }
 
 
 def _emit(fmt: str, config: dict, result, human: Callable[[], str]) -> None:
@@ -182,67 +203,47 @@ def cmd_table(class_name, d, kind, construction, m_range, k_range, n_range, fmt,
 # ---------------------------------------------------------------------------
 
 
+# The exact tail of an expansion's csv and md text, as (field, md label):
+# partial_sum, then the rest when an exact law exists.
+_EXACT_TAIL = (
+    ("partial_sum", "partial sum"),
+    ("exact_probability", "exact probability"),
+    ("residual", "residual"),
+    ("normalized_residual", "residual / next shape"),
+)
+
+
 def _expansion_text(report: ExpansionReport, fmt: str) -> str:
-    """The csv or md text of an expansion report."""
+    """The csv or md text of an expansion report: its terms, then its exact tail."""
+    tail = [
+        (key, label, getattr(report, key))
+        for key, label in (_EXACT_TAIL[:1] if report.exact_probability is None else _EXACT_TAIL)
+    ]
+    rows = [(t.k, [t.coefficient, frac_str(t.shape), frac_str(t.value)]) for t in report.terms]
     if fmt == "csv":
-        rows = [
-            (t.k, [t.coefficient, frac_str(t.shape), frac_str(t.value)])
-            for t in report.terms
-        ]
         text = grid_csv("k", ["coefficient", "shape", "value"], rows)
-        text += f"\npartial_sum,,,{frac_str(report.partial_sum)}"
-        if report.exact_probability is not None:
-            text += f"\nexact_probability,,,{frac_str(report.exact_probability)}"
-            text += f"\nresidual,,,{frac_str(report.residual)}"
-            nr = report.normalized_residual
-            text += f"\nnormalized_residual,,,{'' if nr is None else frac_str(nr)}"
-        return text
+        return text + "".join(
+            f"\n{key},,,{'' if v is None else frac_str(v)}" for key, _, v in tail
+        )
     shape_sym = (
         "binom(n,k)*a(n-k)/a(n)" if report.labeling == "labeled" else "a(n-k)/a(n)"
     )
+    for (_, cells), t in zip(rows, report.terms):
+        cells.append(approx(t.value) + " (approx)")
     lines = [
         f"# {report.construction} expansion for {report.class_name}: "
         f"m={report.m} parts at n={report.n}, r={report.terms_used}",
         "",
         f"term shape: coefficient * {shape_sym}",
         "",
+        grid_markdown("k", ["coefficient", "shape", "value", "decimal"], rows),
+        "",
     ]
-    rows = [
-        (
-            t.k,
-            [
-                t.coefficient,
-                frac_str(t.shape),
-                frac_str(t.value),
-                approx(t.value) + " (approx)",
-            ],
-        )
-        for t in report.terms
+    lines += [
+        f"{label} = "
+        + ("undefined (next shape is 0)" if v is None else f"{frac_str(v)} = {approx(v)} (approx)")
+        for _, label, v in tail
     ]
-    lines.append(grid_markdown("k", ["coefficient", "shape", "value", "decimal"], rows))
-    lines.append("")
-    lines.append(
-        f"partial sum = {frac_str(report.partial_sum)}"
-        f" = {approx(report.partial_sum)} (approx)"
-    )
-    if report.exact_probability is not None:
-        lines.append(
-            f"exact probability = {frac_str(report.exact_probability)}"
-            f" = {approx(report.exact_probability)} (approx)"
-        )
-        lines.append(
-            f"residual = {frac_str(report.residual)}"
-            f" = {approx(report.residual)} (approx)"
-        )
-        nr = report.normalized_residual
-        lines.append(
-            "residual / next shape = "
-            + (
-                "undefined (next shape is 0)"
-                if nr is None
-                else f"{frac_str(nr)} = {approx(nr)} (approx)"
-            )
-        )
     if report.note:
         lines.append(f"note: {report.note}")
     return "\n".join(lines)
@@ -273,28 +274,8 @@ def cmd_expansion(class_name, d, construction, m_value, n_value, terms, fmt, cus
         "terms": terms,
         "format": fmt,
     }
-    result = {
-        "class": report.class_name,
-        "labeling": report.labeling,
-        "construction": report.construction,
-        "m": report.m,
-        "n": report.n,
-        "terms_used": report.terms_used,
-        "terms": [
-            {
-                "k": t.k,
-                "coefficient": t.coefficient,
-                "shape": t.shape,
-                "value": t.value,
-            }
-            for t in report.terms
-        ],
-        "partial_sum": report.partial_sum,
-        "exact_probability": report.exact_probability,
-        "residual": report.residual,
-        "normalized_residual": report.normalized_residual,
-        "note": report.note,
-    }
+    result = _fields(report)
+    result["terms"] = [_fields(t) for t in report.terms]
     _emit(fmt, config, result, lambda: _expansion_text(report, fmt))
 
 
@@ -337,7 +318,7 @@ def cmd_verify(suite, budget, workers, fmt):
     }
     result = {
         "suite": suite,
-        "checks": [{"name": c.name, "status": c.status, "detail": c.detail} for c in checks],
+        "checks": [_fields(c) for c in checks],
         "ok": n_ok,
         "failures": n_fail,
         "skipped": n_skip,
@@ -363,6 +344,15 @@ def cmd_verify(suite, budget, workers, fmt):
 # ---------------------------------------------------------------------------
 
 
+# The audit's sufficient-condition flags, grouped in its JSON result
+_SUFFICIENT_FLAGS = (
+    "ratio_linear_bound",
+    "ratio_linear_witness",
+    "midpoint_monotone",
+    "midpoint_first_violation",
+)
+
+
 @main.command("audit")
 @click.option("--class", "class_name", default=None)
 @click.option("--d", "d", type=int, default=1, show_default=True)
@@ -381,23 +371,8 @@ def cmd_audit(class_name, d, N, fmt, custom):
         "N": N,
         "format": fmt,
     }
-    result = {
-        "class": report.class_name,
-        "N": report.N,
-        "r_max": report.r_max,
-        "verdict": report.verdict,
-        "ratio_trace": list(report.ratio_trace),
-        "convolution_trace": {
-            str(r): list(vals) for r, vals in report.convolution_trace.items()
-        },
-        "sufficient_flags": {
-            "ratio_linear_bound": report.ratio_linear_bound,
-            "ratio_linear_witness": report.ratio_linear_witness,
-            "midpoint_monotone": report.midpoint_monotone,
-            "midpoint_first_violation": report.midpoint_first_violation,
-        },
-        "notes": list(report.notes),
-    }
+    result = _fields(report)
+    result["sufficient_flags"] = {flag: result.pop(flag) for flag in _SUFFICIENT_FLAGS}
 
     def human() -> str:
         tail = report.ratio_trace[-3:]
@@ -463,12 +438,9 @@ def cmd_oracle(class_name, n_value, d, budget, fmt):
         "format": fmt,
     }
     counts = sorted(result.counts_by_parts.items())
-    payload = {
-        "class": result.class_name,
-        "n": result.n,
-        "counts_by_parts": [[m, c] for m, c in counts],
-        "total_enumerated": result.total_enumerated,
-    }
+    payload = _fields(result)
+    del payload["elapsed"]  # a timing, for stderr only
+    payload["counts_by_parts"] = counts  # [m, count] pairs, in m order
 
     def human() -> str:
         grid = grid_markdown("m", ["count"], [(m, [c]) for m, c in counts])

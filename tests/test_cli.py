@@ -1,6 +1,8 @@
 """Command-line surface: rendering, exit codes, determinism, error tokens."""
 
 import csv
+import dataclasses
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -21,7 +23,7 @@ from seqasym.oracle import ORACLE_KINDS, object_count
 from seqasym.render import write_json
 from seqasym.suites import MEMBER_SUITES, ORACLE_GRID, SUITE_NAMES, Check, run_suite
 
-from conftest import construction_refusal, reference_json, run_python
+from conftest import _jsonable, construction_refusal, reference_json, run_python
 
 
 @pytest.fixture()
@@ -190,6 +192,20 @@ def test_custom_file_that_is_not_utf8_is_a_usage_error(runner, tmp_path, command
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_custom_file_may_start_with_a_byte_order_mark(runner, tmp_path, fmt):
+    text = "labeling: unlabeled\nperiod: 2\n1\n0\n1\n0\n1\n0\n1\n0\n1\n"
+    plain, marked = tmp_path / "evens.seq", tmp_path / "bom" / "evens.seq"
+    plain.write_text(text, encoding="utf-8")
+    marked.parent.mkdir()
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    where = ["--m", "1..2", "--n", "0..6", "--format", fmt]
+    res = invoke(runner, "table", "--custom", str(marked), *where)
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout == invoke(runner, "table", "--custom", str(plain), *where).stdout
+
+
 @pytest.mark.parametrize(
     "command",
     [["table", "--n", "0..3"], ["expansion", "--n", "6", "--terms", "1"], ["audit", "--N", "10"]],
@@ -318,6 +334,9 @@ def test_cycle_expansion_rejects_size_off_the_period(runner, tmp_path):
         assert "Traceback" not in res.output
 
 
+ALTERNATING = object()  # stands for the path of _alternating_file's class
+
+
 def _alternating_file(tmp_path, header=""):
     """Unlabeled class with a_n = 1 at even n and no object at odd n."""
     f = tmp_path / "alternating.seq"
@@ -409,14 +428,30 @@ def test_expansion_json_carries_exact_rationals(runner):
     assert "elapsed" not in json.dumps(doc)
 
 
-def test_expansion_csv_has_footer_rows(runner):
-    res = invoke(
-        runner, "expansion", "--class", "permutations", "--n", "30",
-        "--terms", "4", "--format", "csv",
-    )
-    assert res.exit_code == 0
-    footers = [l for l in res.stdout.splitlines() if l.startswith(("partial", "exact"))]
-    assert footers
+FOOTER_CALLS = {
+    "seq": ["--class", "permutations", "--n", "30", "--terms", "4"],
+    "cyc": ["--class", "tournaments", "--construction", "cyc", "--n", "20", "--terms", "3"],
+    "set": ["--class", "permutations", "--construction", "set", "--n", "20", "--terms", "3"],
+    "zero-next-shape": ["--custom", ALTERNATING, "--n", "6", "--terms", "2"],
+}
+EXACT_TAIL = ("partial_sum", "exact_probability", "residual", "normalized_residual")
+
+
+@pytest.mark.parametrize("where", FOOTER_CALLS)
+def test_expansion_csv_has_footer_rows(runner, tmp_path, where):
+    """After the term rows, the csv has one ``key,,,value`` row per field of
+    the exact tail, in its order: each the JSON result's field, an empty cell
+    for None.  Without an exact law (set) the tail is partial_sum alone."""
+    args = [_alternating_file(tmp_path) if a is ALTERNATING else a for a in FOOTER_CALLS[where]]
+    res = invoke(runner, "expansion", *args, "--format", "csv")
+    assert res.exit_code == 0, res.stderr
+    result = _json_result(invoke(runner, "expansion", *args, "--format", "json"))
+    keys = EXACT_TAIL[:1] if where == "set" else EXACT_TAIL
+    assert (result["exact_probability"] is None) == (where == "set")
+    footers = res.stdout.splitlines()[1 + len(result["terms"]):]
+    assert footers == [
+        f"{key},,,{'' if result[key] is None else result[key]}" for key in keys
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +870,89 @@ def test_csv_is_a_rectangle_of_exact_values(runner, args):
     assert "(approx)" not in res.stdout
 
 
+PINNED_CALLS = {
+    "table-parts": ["table", "--class", "tournaments", "--m", "1..3", "--n", "0..6"],
+    "table-cyc-coefficients": ["table", "--class", "tournaments", "--kind", "coefficients",
+                               "--construction", "cyc", "--m", "1..2", "--k", "0..5"],
+    "table-set-coefficients": ["table", "--class", "permutations", "--kind", "coefficients",
+                               "--construction", "set", "--m", "1", "--k", "0..5"],
+    "table-cyc-parts": ["table", "--class", "linear_matchings", "--construction", "cyc",
+                        "--m", "1..3", "--n", "0..8"],
+    "expansion-seq": ["expansion", "--class", "tournaments", "--n", "30", "--m", "2",
+                      "--terms", "3"],
+    "expansion-zero-next-shape": ["expansion", "--custom", ALTERNATING, "--n", "6",
+                                  "--terms", "2"],
+    "expansion-set": ["expansion", "--class", "permutations", "--construction", "set",
+                      "--n", "20", "--terms", "3"],
+    "expansion-m-past-n": ["expansion", "--class", "tournaments", "--n", "3", "--m", "5",
+                           "--terms", "1"],
+    "audit-tournaments": ["audit", "--class", "tournaments", "--N", "20"],
+    "audit-constant": ["audit", "--class", "constant-1", "--N", "12"],
+    "audit-matchings": ["audit", "--class", "matchings_labeled", "--N", "12"],
+    "oracle-tournaments": ["oracle", "--class", "tournaments", "--n", "4"],
+    "oracle-unlabeled": ["oracle", "--class", "unlabeled_tournaments", "--n", "5"],
+    "verify-wright": ["verify", "--suite", "wright"],
+}
+# SHA-256 of stdout for every md and csv text of PINNED_CALLS; JSON is pinned
+# by the benchmark's replayed digests.  A deliberate change of a text is
+# re-recorded from the fresh digest its failure prints.
+PINNED_STDOUT = {
+    ("table-parts", "md"):
+        "b82aab703eb27516779f09a01a1dc0ccaef42e07ede56957587cfd56a3adedae",
+    ("table-parts", "csv"):
+        "0f6dfe4f0708efefaa093708f715dfd9919d9cc192b3efc9215bdc925860c9e5",
+    ("table-cyc-coefficients", "md"):
+        "06c0fc4f87a6020aad67115d85617d680b23e35cb4ab7dea86c67d0937fd157c",
+    ("table-cyc-coefficients", "csv"):
+        "a4bd8349e6672c7d743f85e63f0b5c76d6bad8648346cccff017e8ed329d13fa",
+    ("table-set-coefficients", "md"):
+        "cf30ee2d5f45114f415fccf237fe6b887e3bb5bb3b6719e417c7dde7cd785b24",
+    ("table-set-coefficients", "csv"):
+        "25ea00ec82844af339448b4d3ed557c461a9f9d3a0b082b74b0014a19e791ad5",
+    ("table-cyc-parts", "md"):
+        "394e79007231d0fe8ea284f947be2a0bc4de76831ff832e30425c55a72ee5a85",
+    ("table-cyc-parts", "csv"):
+        "667205782c5ffd5b95ae17c40407aa8386930f27435a265c18bf01f67e68898a",
+    ("expansion-seq", "md"):
+        "074359478f12b0f9d22ec9928c1c098c8c01de4c494cc9c30f7768195f6aa314",
+    ("expansion-seq", "csv"):
+        "a73bb9757826bafd8ebcd9789db92db729039cf50f049d25ba505ee9cb911f4e",
+    ("expansion-zero-next-shape", "md"):
+        "04b38ceaf5adab2abdb0ebdef06094baa5fbcb4984db6c8ba6bb0adb38f30683",
+    ("expansion-zero-next-shape", "csv"):
+        "9149b943d830130878bb4741c2e4b0b743c8972de47306fa98c6e8a4344d97db",
+    ("expansion-set", "md"):
+        "c615a4ff19327415ab1102dfecb47344dce2a429d03e74f235cf1d14ff4f8bea",
+    ("expansion-set", "csv"):
+        "d62a0c885e58eac8ba89f3862fd4acd0192ccb8be321250c8f6a39c2e01e0993",
+    ("expansion-m-past-n", "md"):
+        "0a7b1ee3f8869045b4e3102da00107010781c4f229e3059fe1a96d66808d7ed5",
+    ("expansion-m-past-n", "csv"):
+        "f5e383666664bdc325fb847378c366fe1ca554aaa48a14ade40efe04e8b67c23",
+    ("audit-tournaments", "md"):
+        "2aae21a58e38d3e5022dbd10014775a5a5bb2c7675289df28e621b26fa45cce9",
+    ("audit-constant", "md"):
+        "fc57e6a974f1c927744710f79771487981e553ae21df0ea67d5e5cf77bd265c3",
+    ("audit-matchings", "md"):
+        "473ca5467bad252e333c8ce2a4ce30329a6e4618ebefd3339a30be1296a58b7c",
+    ("oracle-tournaments", "md"):
+        "df48e508eb9f3c1fe264abf653cb6f28c811e8d5437a1713634b06915d80fee1",
+    ("oracle-unlabeled", "md"):
+        "3e0bb7add7dd1eefbedaf0faa9f8ce9d1db41c1f66c42e23a167fc15d5fda66e",
+    ("verify-wright", "md"):
+        "ff512794ee1f6b20b97a5c5117defee810e41765b5f7ce2ea07d6b3066770dc3",
+}
+
+
+@pytest.mark.parametrize("call, fmt", PINNED_STDOUT, ids=[f"{c}-{f}" for c, f in PINNED_STDOUT])
+def test_md_and_csv_stdout_is_pinned(runner, tmp_path, call, fmt):
+    args = [_alternating_file(tmp_path) if a is ALTERNATING else a for a in PINNED_CALLS[call]]
+    res = invoke(runner, *args, "--format", fmt)
+    assert res.exit_code == 0, res.stderr
+    digest = hashlib.sha256(res.stdout_bytes).hexdigest()
+    assert digest == PINNED_STDOUT[call, fmt], f"fresh digest of {call} {fmt}: {digest}"
+
+
 # ---------------------------------------------------------------------------
 # json output: one writer, byte-identical to the whole-document form
 # ---------------------------------------------------------------------------
@@ -869,6 +987,64 @@ def test_json_stdout_is_the_reference_document(runner, monkeypatch, args):
     assert res.exit_code == 0
     assert len(seen) == 1
     assert res.stdout == seen[0]
+
+
+def _record_fields(record):
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+# Each command that prints a library record, and the call that returns it.
+RECORD_CALLS = {
+    "expansion": (["expansion", "--class", "tournaments", "--construction", "cyc",
+                   "--n", "20", "--terms", "3"], "evaluate_partial_sum"),
+    "audit": (["audit", "--class", "tournaments", "--N", "20"], "audit"),
+    "oracle": (["oracle", "--class", "tournaments", "--n", "4"], "oracle_for"),
+    "verify": (["verify", "--suite", "comtet"], "run_suite"),
+}
+
+
+@pytest.mark.parametrize("args, call", RECORD_CALLS.values(), ids=RECORD_CALLS)
+def test_json_result_is_the_record_of_the_library_call(runner, monkeypatch, args, call):
+    """The JSON result is the record the library returned, field for field,
+    except: class_name is written as "class"; audit groups its four
+    sufficient-condition flags under "sufficient_flags"; oracle drops
+    elapsed and writes counts_by_parts as [m, count] pairs; verify writes
+    each Check as its three fields, beside the suite and its tallies."""
+    records = []
+    library = getattr(cli, call)
+
+    def recording(*a, **kw):
+        records.append(library(*a, **kw))
+        return records[-1]
+
+    monkeypatch.setattr(cli, call, recording)
+    result = _json_result(invoke(runner, *args, "--format", "json"))
+    if call == "run_suite":
+        checks = [c for batch in records for c in batch]
+        statuses = [c.status for c in checks]
+        expected = {
+            "suite": args[2],
+            "checks": [_record_fields(c) for c in checks],
+            "ok": statuses.count("ok"),
+            "failures": statuses.count("fail"),
+            "skipped": statuses.count("skip"),
+        }
+    else:
+        [record] = records
+        expected = {
+            "class" if name == "class_name" else name: value
+            for name, value in _record_fields(record).items()
+        }
+        if call == "evaluate_partial_sum":
+            expected["terms"] = [_record_fields(t) for t in record.terms]
+        elif call == "audit":
+            flags = ("ratio_linear_bound", "ratio_linear_witness", "midpoint_monotone",
+                     "midpoint_first_violation")
+            expected["sufficient_flags"] = {name: expected.pop(name) for name in flags}
+        else:
+            del expected["elapsed"]
+            expected["counts_by_parts"] = sorted(map(list, record.counts_by_parts.items()))
+    assert result == _jsonable(expected)
 
 
 # ---------------------------------------------------------------------------
