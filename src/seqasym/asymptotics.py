@@ -162,14 +162,18 @@ class CoefficientTable:
 
 
 def _coefficients(
-    A: CountingSequence, construction: str, m_max: int, k_max: int
+    A: CountingSequence,
+    cell: _Cell,
+    m_max: int,
+    k_max: int,
+    shapes: CountingSequence | None = None,
 ) -> CoefficientTable:
-    """The cell's entry(b, k, m) for m = 1..m_max, k = 0..k_max, once admitted."""
-    cell = _admit(A, construction, m_max)
+    """The entry(b, k, m) of a cell admitted for m_max, for m = 1..m_max and
+    k = 0..k_max; ``shapes`` is the cell's class of the shapes, if built."""
     b = parts_table(A, m_max + cell.extra_rows, k_max).entries
     return CoefficientTable(
         construction=cell.label,
-        class_name=cell.shapes(A).name,
+        class_name=(shapes or cell.shapes(A)).name,
         labeling=A.labeling,
         period=A.period,
         k_max=k_max,
@@ -182,7 +186,7 @@ def _coefficients(
 
 def seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
     """d_{k,m} = m (b_k^(m-1) - 2 b_k^(m) + b_k^(m+1)) for m = 1..m_max."""
-    return _coefficients(A, "seq", m_max, k_max)
+    return _coefficients(A, _admit(A, "seq", m_max), m_max, k_max)
 
 
 def cyc_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
@@ -191,7 +195,7 @@ def cyc_coefficients(A: CountingSequence, m_max: int, k_max: int) -> Coefficient
     ``A`` is the sequence-side companion class supplying the part counts; the
     caller asserts that the class under study is CYC of the same part class.
     """
-    return _coefficients(A, "cyc", m_max, k_max)
+    return _coefficients(A, _admit(A, "cyc", m_max), m_max, k_max)
 
 
 def set_via_seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> CoefficientTable:
@@ -201,7 +205,7 @@ def set_via_seq_coefficients(A: CountingSequence, m_max: int, k_max: int) -> Coe
     evaluation SUBTRACTS them: P ~ 1 - sum d_k a_{n-k}/a_n); entries(0, 1) = 1.
     Multi-part coefficients are not defined for sets: 1 is the only m_max.
     """
-    return _coefficients(A, "set", m_max, k_max)
+    return _coefficients(A, _admit(A, "set", m_max), m_max, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +350,7 @@ def evaluate_partial_sum(
     if A.period > 1 and A.labeling == "labeled" and n % A.period:
         raise RangeError(f"--n {n}: size {n} is not a multiple of the period {A.period}")
     shapes_class = cell.shapes(A)
-    coefficients = _coefficients(A, construction, m, p * (r + 1))
+    coefficients = _coefficients(A, cell, m, p * (r + 1), shapes_class)
     an = shapes_class.value(n)
     if an == 0:
         raise RangeError(f"{shapes_class.name} has no objects of size {n}")

@@ -59,7 +59,7 @@ The labeled form never divides by (pk)!: its scale, the falling factorial
 reduced values u_k has thousands.  On tournaments, a_n = (d+1)^C(n,2): for
 d = 1 every a_n is a power of two, so each h_k is a shifted binomial and
 the odd part of each denominator is that of the falling factorial alone.
-On a 2-vCPU VM (best of 7 runs) the audit of tournaments(1) at N = 240 took
+On a 2-vCPU VM (best of 7 runs) the audit of tournaments(d=1) at N = 240 took
 24 ms where the same pass over u_k scaled to a common denominator took
 95 ms.  When every (pk)! divides P_k (linear orders, linear matchings: the
 reduced values are integers), the weight C(pn,pk)·(pk)!·(p(n-k))! = (pn)! is

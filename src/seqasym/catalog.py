@@ -8,29 +8,37 @@ together with the bookkeeping every downstream computation needs:
 * ``period`` — p > 1 means a_n = 0 whenever p does not divide n (with the
   nonzero support on multiples of p).
 
-The catalog:
+The catalog, one class per CLI key, built by ``resolve_class(key, d)``: a
+class that takes d exists for every d >= 1 and is named ``key(d=…)``, any
+other exists for d = 1 only and is named ``key``.
 
-========================  =========  ======  =======================================
-name                      labeling   period  value(n)
-========================  =========  ======  =======================================
-tournaments(d)            labeled    1       (d+1)^C(n,2)
-linear_orders(d)          labeled    1       (n!)^d
-permutations(d)           unlabeled  1       (n!)^d
-matchings(d)              unlabeled  1       ((2n-1)!!)^d, indexed by pair count
-matchings_labeled()       labeled    2       (n-1)!! on even n — auxiliary raw view
-linear_matchings()        labeled    2       n!·(n-1)!! on even n — pairs of linear
-                                             orders whose composite is a matching
-unlabeled_tournaments()   unlabeled  1       tournaments up to isomorphism
-constant_ones()           unlabeled  1       1 (sequences of single atoms)
-========================  =========  ======  =======================================
+=====================  =========  ======  =====  ===============================
+key                    labeling   period  d      value(n)
+=====================  =========  ======  =====  ===============================
+tournaments            labeled    1       d>=1   (d+1)^C(n,2): d-multitournaments,
+                                                 a pair's outcome being how many
+                                                 of its d games the first won
+linear_orders          labeled    1       d>=1   (n!)^d: d-tuples of linear orders
+permutations           unlabeled  1       d>=1   (n!)^d: d-tuples of permutations
+matchings              unlabeled  1       d>=1   ((2n-1)!!)^d: d-tuples of perfect
+                                                 matchings, indexed by pair count
+matchings_labeled      labeled    2       1      (n-1)!! on even n — auxiliary raw
+                                                 view of perfect matchings
+linear_matchings       labeled    2       1      n!·(n-1)!! on even n: pairs of
+                                                 linear orders whose composite is
+                                                 a perfect matching
+unlabeled_tournaments  unlabeled  1       1      tournaments up to isomorphism
+constant-1             unlabeled  1       1      1: sequences of single atoms,
+                                                 OGF 1/(1-z), whose one
+                                                 irreducible has size 1
+=====================  =========  ======  =====  ===============================
 
 Each class is declared once, as one row of the private table ``_CLASSES``
-keyed by its CLI name (``constant-1`` for ``constant_ones``): its labeling,
-its period, whether it takes d, whether it is sequence-decomposable, and
-how its values are filled.  ``resolve_class`` builds every class from its
-row, with its name and its refusals of d; the factories above are one call
-of it, and ``catalog_classes`` reads its order off the table.  Adding a
-class is one row.
+keyed by its CLI key: its labeling, its period, whether it takes d, whether
+it is sequence-decomposable, and how its values are filled.
+``resolve_class`` builds every class from its row, with its name and its
+refusals of d, and ``catalog_classes`` reads its order off the table.
+Adding a class is one row.
 
 Every class computes its values as a prefix a_0..a_n, in one filler call.
 Every class but unlabeled tournaments is filled as a running product,
@@ -42,14 +50,15 @@ linear matchings and 1 for constant-1.
 The raw matchings view is deliberately NOT sequence-decomposable (its inversion
 produces a negative part count at n=4); it exists so that the reindexing and
 lifting machinery can be exercised against it.  ``linear_matchings`` is the
-decomposable lift carrying the same combinatorics.
+decomposable, relabeling-stable lift carrying the same combinatorics, and the
+labeled 2-periodic class the asymptotic machinery applies to.
 
 Unlabeled tournament counts use the classical cycle-index summation over
 partitions of n into odd parts (Davis 1953; Moon, *Topics on Tournaments*,
-1968).  ``unlabeled_tournaments()`` computes a_0..a_N in one integer pass
-over the odd cycle lengths, largest first, which merges the partial
-partitions that share a size and, for each odd d, the number of cycles
-whose length d divides; those decide every later exponent.  The per-n
+1968).  The ``unlabeled_tournaments`` class computes a_0..a_N in one
+integer pass over the odd cycle lengths, largest first, which merges the
+partial partitions that share a size and, for each odd d, the number of
+cycles whose length d divides; those decide every later exponent.  The per-n
 Fraction formula ``unlabeled_tournament_count`` is kept only as its
 independent check.  Because the formula is imported knowledge, the
 test-suite also validates it against an exhaustive isomorphism-class
@@ -81,14 +90,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CountingSequence",
-    "tournaments",
-    "linear_orders",
-    "permutations",
-    "matchings",
-    "matchings_labeled",
-    "linear_matchings",
-    "unlabeled_tournaments",
-    "constant_ones",
     "custom",
     "load_custom",
     "parse_custom_text",
@@ -270,7 +271,7 @@ def unlabeled_tournament_count(n: int) -> int:
     Averaging over the symmetric group gives the sum below over partitions of
     n into odd parts (z_λ = Π l^{a_l} a_l! is the usual centralizer size).
     This per-n Fraction sum is the independent check of the one-pass
-    ``unlabeled_tournaments()`` values; no computation path calls it.
+    ``unlabeled_tournaments`` values; no computation path calls it.
 
     >>> [unlabeled_tournament_count(n) for n in range(1, 8)]
     [1, 1, 2, 4, 12, 56, 456]
@@ -488,55 +489,3 @@ def catalog_classes(d_max: int = 3) -> list[CountingSequence]:
     out = [resolve_class(name, d) for d in range(1, d_max + 1) for name in with_d]
     return out + [resolve_class(name) for name in rest]
 
-
-def tournaments(d: int = 1) -> CountingSequence:
-    """Labeled d-multitournaments: (d+1)^C(n,2) orientations of multiplicities."""
-    return resolve_class("tournaments", d)
-
-
-def linear_orders(d: int = 1) -> CountingSequence:
-    """Labeled d-tuples of linear orders: (n!)^d."""
-    return resolve_class("linear_orders", d)
-
-
-def permutations(d: int = 1) -> CountingSequence:
-    """d-tuples of permutations, treated as unlabeled objects: (n!)^d."""
-    return resolve_class("permutations", d)
-
-
-def matchings(d: int = 1) -> CountingSequence:
-    """d-tuples of perfect matchings, unlabeled, indexed by the pair count n."""
-    return resolve_class("matchings", d)
-
-
-def matchings_labeled() -> CountingSequence:
-    """Raw labeled perfect matchings: (n−1)!! objects of even size n, period 2.
-
-    This view is kept for the reindexing pipeline; it is not
-    sequence-decomposable as a labeled class (see module docstring).
-    """
-    return resolve_class("matchings_labeled")
-
-
-def linear_matchings() -> CountingSequence:
-    """Pairs (linear order, linear order) composing to a perfect matching.
-
-    value(2k) = (2k)!·(2k−1)!!, value(odd) = 0.  This is the relabeling-stable
-    lift of the matchings class, and the labeled 2-periodic class the
-    asymptotic machinery actually applies to.
-    """
-    return resolve_class("linear_matchings")
-
-
-def unlabeled_tournaments() -> CountingSequence:
-    """Tournaments up to isomorphism, by the one-pass cycle-index filler."""
-    return resolve_class("unlabeled_tournaments")
-
-
-def constant_ones() -> CountingSequence:
-    """The unlabeled class with exactly one object of each size.
-
-    Its ordinary generating function is 1/(1-z), i.e. sequences of single
-    atoms; the irreducible counts are 1 at size 1 and 0 elsewhere.
-    """
-    return resolve_class("constant-1")

@@ -130,7 +130,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .catalog import CountingSequence
+from .catalog import CountingSequence, resolve_class
 from .errors import BadConstantTerm, NegativeIrreducibleCount, PeriodMismatch, RangeError
 from .series import PowerSeries, counting_to_series, series_to_counting
 
@@ -529,17 +529,15 @@ def lift_consistency(n_max: int, m_max: int) -> tuple[tuple[int, int, int, int],
     The class of pairs of linear orders (counting (n!)^2) is the
     relabeling-stable lift of permutations; part counts must satisfy
 
-        parts(linear_orders(2))(n, m) = n! * parts(permutations)(n, m)
+        parts(linear_orders(d=2))(n, m) = n! * parts(permutations(d=1))(n, m)
 
     for all n, m.  The two sides are computed from different inputs and
     weights (labeled convolutions with binomials vs unlabeled ones).
     Returns the mismatches (n, m, lifted, n! * plain) over 0 <= n <= n_max,
     0 <= m <= m_max; empty when the identity holds on the whole grid.
     """
-    from .catalog import linear_orders, permutations
-
-    lifted = parts_table(linear_orders(2), m_max, n_max)
-    plain = parts_table(permutations(1), m_max, n_max)
+    lifted = parts_table(resolve_class("linear_orders", 2), m_max, n_max)
+    plain = parts_table(resolve_class("permutations", 1), m_max, n_max)
     mismatches = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):

@@ -34,15 +34,18 @@ masks are tallied by one walk over prefix sets that expands each set once,
 carrying a plain dict from mask to multiplicity that each move folds into
 the next set's dict.
 
-Each kind is one row of ``_KINDS``: its public entry point, its display
-name, the catalog class whose values count its raw objects where that is
-not its own (the unlabeled kind scans the codes of tournaments(1)), and its
-largest n where it has one (the unlabeled kind's lanes take n <= 8).  Its
-reference class is ``catalog.resolve_class(kind, d)``, resolved by
-``reference_class`` alone, so the catalog words every refusal of d.
-``object_count``, ``oracle_for`` and the one helper every entry point runs
-through read the row; the helper checks n and d, applies the budget (in
-objects, not walk states; a size whose lower bound 2^(n-1) already exceeds
+Each kind is one row of ``_KINDS``: its public entry point, the catalog
+class whose values count its raw objects where that is not its own (the
+unlabeled kind scans the codes of tournaments(d=1)), its largest n where it
+has one (the unlabeled kind's lanes take n <= 8), and its display name
+where that is not the name of its reference class (the unlabeled kind's
+``unlabeled tournaments``).  Its reference class is
+``catalog.resolve_class(kind, d)``, resolved by ``reference_class`` alone,
+so the catalog words every refusal of d, and the other kinds print its name,
+such as ``tournaments(d=2)``.  ``object_count``, ``oracle_for`` and the one
+helper every entry point runs through read the row; the helper checks n and
+d once, applies the budget (in objects, not walk states, counted on the
+class its check resolved; a size whose lower bound 2^(n-1) already exceeds
 the budget is refused without counting), then the row's largest n, times
 the tally and builds the result.  A new kind is one row, its tally and its
 own test, kept off the seven-row ``ORACLE_GRID``.  Tests run Tarjan, the
@@ -112,23 +115,17 @@ class _Kind(NamedTuple):
     # the module global at call time and a wrapper bound there later (as the
     # benchmark's tracer binds one) sees every call
     run: Callable[[int, int, int | None], OracleResult]
-    name: str  # display name, formatted with d
+    name: str | None = None  # display name, where not the reference class's
     # catalog key whose values at d count the raw objects, if not the kind's own
     scans: str | None = None
     n_max: int | None = None  # largest n the tally can take
 
 
 _KINDS: dict[str, _Kind] = {
-    "tournaments": _Kind(
-        lambda n, d, budget: enumerate_tournament_parts(n, d, budget), "tournaments(d={d})"
-    ),
-    "permutations": _Kind(
-        lambda n, d, budget: enumerate_permutation_parts(n, d, budget), "permutations(d={d})"
-    ),
-    "matchings": _Kind(
-        lambda n, d, budget: enumerate_matching_parts(n, d, budget), "matchings(d={d})"
-    ),
-    # scans the codes of tournaments(1); 32-bit lanes hold C(8, 2) = 28 pairs
+    "tournaments": _Kind(lambda n, d, budget: enumerate_tournament_parts(n, d, budget)),
+    "permutations": _Kind(lambda n, d, budget: enumerate_permutation_parts(n, d, budget)),
+    "matchings": _Kind(lambda n, d, budget: enumerate_matching_parts(n, d, budget)),
+    # scans the codes of tournaments(d=1); 32-bit lanes hold C(8, 2) = 28 pairs
     "unlabeled_tournaments": _Kind(
         lambda n, d, budget: enumerate_unlabeled_tournament_parts(n, budget),
         "unlabeled tournaments",
@@ -168,11 +165,15 @@ def _check(kind: str, n: int, d: int) -> tuple[_Kind, catalog.CountingSequence]:
     return row, reference_class(kind, d)
 
 
+def _objects(row: _Kind, A: catalog.CountingSequence, n: int, d: int) -> int:
+    """The count of the reference class A, or of the class the row scans."""
+    return (A if row.scans is None else catalog.resolve_class(row.scans, d)).value(n)
+
+
 def object_count(kind: str, n: int, d: int = 1) -> int:
     """How many raw objects the oracle would visit (the enumeration budget):
     the count of the reference class, or of the class the kind's row scans."""
-    row, A = _check(kind, n, d)
-    return (A if row.scans is None else catalog.resolve_class(row.scans, d)).value(n)
+    return _objects(*_check(kind, n, d), n, d)
 
 
 def _enumerate(
@@ -189,13 +190,13 @@ def _enumerate(
     length is refused before its exact count, which at n in the thousands
     has millions of digits, is formed or printed.
     """
-    row, _ = _check(kind, n, d)
+    row, A = _check(kind, n, d)
     if budget is not None:
         if n - 1 >= budget.bit_length():
             raise BudgetExceeded(
                 f"{kind} n={n} d={d}: at least 2^{n - 1} objects exceed budget {budget}"
             )
-        objects = object_count(kind, n, d)
+        objects = _objects(row, A, n, d)
         if objects > budget:
             raise BudgetExceeded(f"{kind} n={n} d={d}: {objects} objects exceed budget {budget}")
     if row.n_max is not None and n > row.n_max:
@@ -204,7 +205,7 @@ def _enumerate(
     counts, total = tally()
     elapsed = time.perf_counter() - t0
     return OracleResult(
-        class_name=row.name.format(d=d),
+        class_name=row.name or A.name,
         n=n,
         counts_by_parts=dict(sorted(counts.items())),
         total_enumerated=total,

@@ -204,7 +204,7 @@ def suite_lift() -> list[Check]:
 
 
 def suite_wright() -> list[Check]:
-    table = seq_coefficients(catalog.tournaments(1), 1, 4)
+    table = seq_coefficients(catalog.resolve_class("tournaments"), 1, 4)
     folded = tuple(table.entries(k, 1) * 2 ** (k * (k + 1) // 2) for k in range(1, 5))
     if folded == WRIGHT_FOLDED:
         return [Check("wright-folded-coefficients", "ok", str(folded))]
@@ -212,7 +212,7 @@ def suite_wright() -> list[Check]:
 
 
 def suite_comtet() -> list[Check]:
-    table = seq_coefficients(catalog.permutations(1), 1, 10)
+    table = seq_coefficients(catalog.resolve_class("permutations"), 1, 10)
     numerators = tuple(-table.entries(k, 1) for k in range(1, 11))
     if numerators == COMTET_NUMERATORS:
         return [Check("comtet-numerators", "ok", str(numerators))]

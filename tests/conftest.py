@@ -14,12 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture
 def tournaments1():
-    return catalog.tournaments(1)
+    return catalog.resolve_class("tournaments", 1)
 
 
 @pytest.fixture
 def permutations1():
-    return catalog.permutations(1)
+    return catalog.resolve_class("permutations", 1)
 
 
 def rationals(max_num: int = 20, max_den: int = 12):

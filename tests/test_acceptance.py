@@ -51,14 +51,14 @@ def test_criterion_01_reference_table_reproduction():
 
 
 def test_criterion_02_folded_tournament_coefficients():
-    table = seq_coefficients(catalog.tournaments(1), 1, 4)
+    table = seq_coefficients(catalog.resolve_class("tournaments", 1), 1, 4)
     folded = tuple(table.entries(k, 1) * 2 ** (k * (k + 1) // 2) for k in range(1, 5))
     ok = folded == (-4, 16, -256, -32768)
     _report(ok, "criterion-2 folded tournament coefficients", f"k=1..4: {folded}")
 
 
 def test_criterion_03_permutation_expansion_numerators():
-    table = seq_coefficients(catalog.permutations(1), 1, 10)
+    table = seq_coefficients(catalog.resolve_class("permutations", 1), 1, 10)
     nums = tuple(-table.entries(k, 1) for k in range(1, 11))
     ok = nums == (2, 1, 4, 19, 110, 745, 5752, 49775, 476994, 5016069)
     _report(ok, "criterion-3 permutation expansion numerators", f"k=1..10: {nums}")
@@ -176,10 +176,10 @@ def test_criterion_09_growth_audit_verdicts():
 def test_criterion_10_leading_term_shapes():
     bad = []
     for A in [
-        *(catalog.tournaments(d) for d in (1, 2, 3)),
-        *(catalog.permutations(d) for d in (1, 2, 3)),
-        *(catalog.matchings(d) for d in (1, 2, 3)),
-        catalog.linear_matchings(),
+        *(catalog.resolve_class("tournaments", d) for d in (1, 2, 3)),
+        *(catalog.resolve_class("permutations", d) for d in (1, 2, 3)),
+        *(catalog.resolve_class("matchings", d) for d in (1, 2, 3)),
+        catalog.resolve_class("linear_matchings"),
     ]:
         p = A.period
         step = p if A.labeling == "labeled" and p > 1 else 1

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from seqasym import catalog
+from seqasym import asymptotics, catalog
 from seqasym.asymptotics import (
     CONSTRUCTIONS,
     bender_compose,
@@ -135,7 +135,7 @@ def test_cycle_class_matches_per_size_recurrence(A):
 
 
 def test_cycle_class_keeps_the_period():
-    cc = cyc_class(catalog.linear_matchings())
+    cc = cyc_class(catalog.resolve_class("linear_matchings"))
     assert cc.period == 2
     assert cc.values(4) == [1, 0, 2, 0, 60]
     assert not any(cc.values(30)[1::2])
@@ -150,7 +150,10 @@ def test_cycle_part_counts_sum_to_class(tournaments1):
 
 
 def test_cycle_requires_labeled():
-    for P in (catalog.permutations(1), catalog.custom([1, 1, 2, 5], "unlabeled", name="u")):
+    for P in (
+        catalog.resolve_class("permutations", 1),
+        catalog.custom([1, 1, 2, 5], "unlabeled", name="u"),
+    ):
         refusal = re.escape(
             f"--construction cyc: defined for labeled classes only; {P.name} is unlabeled"
         )
@@ -163,7 +166,7 @@ def test_cycle_requires_labeled():
         with pytest.raises(RangeError, match=refusal):
             cyc_class(P)
     with pytest.raises(RangeError, match="^--m 0: m must be at least 1$"):
-        cyc_part_count(catalog.tournaments(1), 0, 4)
+        cyc_part_count(catalog.resolve_class("tournaments", 1), 0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ def test_cycle_requires_labeled():
 
 
 def test_set_coefficients_store_irreducible_counts():
-    P = catalog.permutations(1)
+    P = catalog.resolve_class("permutations", 1)
     table = set_via_seq_coefficients(P, 1, 5)
     assert [table.entries(k, 1) for k in range(6)] == [1, 1, 1, 3, 13, 71]
 
@@ -185,7 +188,7 @@ def test_set_construction_is_unlabeled_only(tournaments1):
         set_via_seq_coefficients(tournaments1, 1, 4)
     with pytest.raises(RangeError, match=labeled):
         evaluate_partial_sum(tournaments1, 1, 20, 3, construction="set")
-    P = catalog.permutations(1)
+    P = catalog.resolve_class("permutations", 1)
     with pytest.raises(RangeError, match="^--m 2: the set construction defines only"):
         set_via_seq_coefficients(P, 2, 4)
     with pytest.raises(RangeError, match="^--m 3: the set construction defines only"):
@@ -223,7 +226,7 @@ def test_unknown_construction_is_refused(tournaments1):
 
 
 def test_set_evaluation_subtracts_and_reports_no_exact():
-    P = catalog.permutations(1)
+    P = catalog.resolve_class("permutations", 1)
     ev = evaluate_partial_sum(P, 1, 20, 3, construction="set")
     hand = 1 - sum(
         b * Fraction(P.value(20 - k), P.value(20))
@@ -249,21 +252,21 @@ def test_leading_term_tournaments_two_parts(tournaments1):
 
 
 def test_leading_term_unlabeled_has_no_falling_factorial():
-    P = catalog.permutations(1)
+    P = catalog.resolve_class("permutations", 1)
     lt = leading_term(P, 3)
     assert lt.falling_factorial_order == 0 and lt.ratio_offset == 2
     assert lt.term_value(P, 30) == Fraction(1, 290)
 
 
 def test_leading_term_matchings_two_parts():
-    M = catalog.matchings(1)
+    M = catalog.resolve_class("matchings", 1)
     lt = leading_term(M, 2)
     for n in range(3, 9):
         assert lt.term_value(M, n) == Fraction(2, 2 * n - 1)
 
 
 def test_leading_term_periodic_uses_actual_size():
-    LM = catalog.linear_matchings()
+    LM = catalog.resolve_class("linear_matchings")
     lt = leading_term(LM, 2)
     assert lt.multiplier == 2
     assert lt.falling_factorial_order == 2 and lt.ratio_offset == 2
@@ -287,10 +290,18 @@ def test_leading_term_undefined_without_size_one_or_period():
 
 @pytest.mark.parametrize("cls", ["tournaments", "permutations", "matchings"])
 def test_zero_term_expansion_is_one(cls):
-    A = getattr(catalog, cls)(1)
+    A = catalog.resolve_class(cls, 1)
     ev = evaluate_partial_sum(A, 1, 8, 0)
     assert ev.partial_sum == 1
     assert ev.terms[0].coefficient == 1 and ev.terms[0].shape == 1
+
+
+def test_cycle_expansion_builds_its_shapes_class_once(monkeypatch, tournaments1):
+    built = []
+    monkeypatch.setattr(asymptotics, "cyc_class", lambda A: built.append(A) or cyc_class(A))
+    ev = evaluate_partial_sum(tournaments1, 1, 8, 2, "cyc")
+    assert built == [tournaments1]
+    assert ev.class_name == "cyc(tournaments(d=1))"
 
 
 def test_residual_is_an_exact_identity(tournaments1):
@@ -315,7 +326,7 @@ def test_one_part_corridor_at_size_fourteen(tournaments1):
 
 
 def test_normalized_residual_frozen_permutations():
-    P = catalog.permutations(1)
+    P = catalog.resolve_class("permutations", 1)
     ev = evaluate_partial_sum(P, 1, 30, 4)
     assert ev.normalized_residual == Fraction(
         -2428486325273825932889051683, 15511210043330985984000000
@@ -323,7 +334,7 @@ def test_normalized_residual_frozen_permutations():
 
 
 def test_periodic_expansion_steps_by_period():
-    LM = catalog.linear_matchings()
+    LM = catalog.resolve_class("linear_matchings")
     ev = evaluate_partial_sum(LM, 2, 24, 2)
     assert [t.k for t in ev.terms] == [0, 2, 4]
     assert ev.terms[1].coefficient == 4
@@ -336,7 +347,7 @@ def test_periodic_expansion_steps_by_period():
         [factorial(n // 2) if n % 2 == 0 else 0 for n in range(21)], "unlabeled", period=2
     )
     ev = evaluate_partial_sum(halves, 1, 20, 3)
-    same = evaluate_partial_sum(catalog.permutations(1), 1, 10, 3)
+    same = evaluate_partial_sum(catalog.resolve_class("permutations", 1), 1, 10, 3)
     assert [(t.k, t.coefficient) for t in ev.terms] == [(0, 1), (2, -2), (4, -1), (6, -4)]
     assert [t.value for t in ev.terms] == [t.value for t in same.terms]
     assert (ev.exact_probability, ev.normalized_residual) == (
@@ -345,14 +356,14 @@ def test_periodic_expansion_steps_by_period():
     )
     # The set cell steps by the period too: its terms sit at k = 0, 2, 4, 6.
     ev = evaluate_partial_sum(halves, 1, 20, 3, "set")
-    same = evaluate_partial_sum(catalog.permutations(1), 1, 10, 3, "set")
+    same = evaluate_partial_sum(catalog.resolve_class("permutations", 1), 1, 10, 3, "set")
     assert [(t.k, t.coefficient) for t in ev.terms] == [(0, 1), (2, 1), (4, 1), (6, 3)]
     assert [t.value for t in ev.terms] == [t.value for t in same.terms]
     assert ev.partial_sum == same.partial_sum
 
 
 def test_cycle_expansion_rejects_size_off_the_period():
-    LM = catalog.linear_matchings()
+    LM = catalog.resolve_class("linear_matchings")
     with pytest.raises(RangeError, match="^--n 31: size 31 is not a multiple of the period 2$"):
         evaluate_partial_sum(LM, 1, 31, 3, "cyc")
     pairs = catalog.custom([1, 0, 1, 0, 3, 0, 15], "labeled", period=2)
@@ -372,6 +383,9 @@ def test_kernel_composition_at_zero():
     assert V == PowerSeries.zero(5) and W == PowerSeries.one(5)
     V, W = bender_compose(Z, "cyc", 1)
     assert V == PowerSeries.zero(5) and W == PowerSeries.one(5)
+    # the seq kernel (x/(1+x))^0 = 1 is constant: V = 1 and W = 0
+    V, W = bender_compose(Z, "seq", 0)
+    assert V == PowerSeries.one(5) and W == PowerSeries.zero(5)
 
 
 def test_seq_kernel_reproduces_coefficient_rows(tournaments1):

@@ -123,7 +123,7 @@ def test_convolution_trace_concentrates_at_the_ends(tournaments1):
 
 
 def test_flat_sequence_fails_visibly():
-    rep = audit(catalog.constant_ones(), SURVEY_N)
+    rep = audit(catalog.resolve_class("constant-1"), SURVEY_N)
     assert rep.verdict == "visibly-failing"
     assert set(rep.ratio_trace) == {Fraction(1)}
     assert not rep.ratio_linear_bound
@@ -132,12 +132,15 @@ def test_flat_sequence_fails_visibly():
 def test_even_support_reindexing_changes_the_audited_object():
     # The raw even-index matching counts, reduced by (2i)!, shrink like
     # 1/(2^i i!), so the ratio trace grows linearly and the audit must say so.
-    rep = audit(catalog.matchings_labeled(), SURVEY_N)
+    rep = audit(catalog.resolve_class("matchings_labeled"), SURVEY_N)
     assert rep.class_name == "matchings_labeled[/2]"
     assert rep.verdict == "visibly-failing"
     assert rep.ratio(SURVEY_N) == 2 * SURVEY_N
     # The same pairs counted with full linear labels pass.
-    assert audit(catalog.linear_matchings(), SURVEY_N).verdict == "evidence-consistent"
+    assert (
+        audit(catalog.resolve_class("linear_matchings"), SURVEY_N).verdict
+        == "evidence-consistent"
+    )
 
 
 def test_zero_inside_range_is_reported():
@@ -160,12 +163,17 @@ def test_audit_domain_errors(tournaments1):
     "A, N",
     [pytest.param(A, SURVEY_N, id=A.name) for A in catalog.catalog_classes(3)]
     + [
-        pytest.param(catalog.tournaments(d), 120, id=f"tournaments(d={d})-N120")
+        pytest.param(
+            catalog.resolve_class("tournaments", d), 120, id=f"tournaments(d={d})-N120"
+        )
         for d in (1, 2, 3)
     ]
     + [
         pytest.param(A, 120, id=f"{A.name}-N120")
-        for A in (catalog.matchings_labeled(), catalog.linear_matchings())
+        for A in (
+            catalog.resolve_class("matchings_labeled"),
+            catalog.resolve_class("linear_matchings"),
+        )
     ],
 )
 def test_integer_traces_match_fraction_reference(A, N):
@@ -176,9 +184,21 @@ def test_integer_traces_match_fraction_reference(A, N):
 @pytest.mark.parametrize(
     "A, B, verdict",
     [
-        (catalog.permutations(1), catalog.permutations(1), "evidence-consistent"),
-        (catalog.tournaments(1), catalog.permutations(1), "evidence-consistent"),
-        (catalog.constant_ones(), catalog.constant_ones(), "visibly-failing"),
+        (
+            catalog.resolve_class("permutations", 1),
+            catalog.resolve_class("permutations", 1),
+            "evidence-consistent",
+        ),
+        (
+            catalog.resolve_class("tournaments", 1),
+            catalog.resolve_class("permutations", 1),
+            "evidence-consistent",
+        ),
+        (
+            catalog.resolve_class("constant-1"),
+            catalog.resolve_class("constant-1"),
+            "visibly-failing",
+        ),
     ],
     ids=lambda x: getattr(x, "name", x),
 )

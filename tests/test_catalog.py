@@ -1,5 +1,7 @@
 """Catalog counting sequences: closed forms, Burnside counts, custom classes."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, gcd, prod
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqasym
 from seqasym import catalog
 from seqasym.audit import audit
 from seqasym.decomposition import periodic_reindex
@@ -22,38 +25,38 @@ from seqasym.errors import (
 
 
 def test_tournaments_closed_form():
-    A = catalog.tournaments(1)
+    A = catalog.resolve_class("tournaments", 1)
     assert A.values(6) == [1, 1, 2, 8, 64, 1024, 32768]
-    assert catalog.tournaments(2).value(4) == 3**6
+    assert catalog.resolve_class("tournaments", 2).value(4) == 3**6
 
 
 def test_linear_orders_and_permutations():
-    assert catalog.linear_orders(2).values(4) == [1, 1, 4, 36, 576]
-    assert catalog.permutations(1).labeling == "unlabeled"
-    assert catalog.permutations(3).value(3) == 6**3
+    assert catalog.resolve_class("linear_orders", 2).values(4) == [1, 1, 4, 36, 576]
+    assert catalog.resolve_class("permutations", 1).labeling == "unlabeled"
+    assert catalog.resolve_class("permutations", 3).value(3) == 6**3
 
 
 def test_matchings_pair_indexed():
-    A = catalog.matchings(1)
+    A = catalog.resolve_class("matchings", 1)
     assert A.values(5) == [1, 1, 3, 15, 105, 945]  # (2n-1)!! on the pair index
-    assert catalog.matchings(2).value(3) == 225
+    assert catalog.resolve_class("matchings", 2).value(3) == 225
 
 
 def test_matchings_labeled_period_two():
-    A = catalog.matchings_labeled()
+    A = catalog.resolve_class("matchings_labeled")
     assert A.period == 2
     assert [A.value(n) for n in range(7)] == [1, 0, 1, 0, 3, 0, 15]
 
 
 def test_linear_matchings_values():
-    A = catalog.linear_matchings()
+    A = catalog.resolve_class("linear_matchings")
     assert A.period == 2 and A.labeling == "labeled"
     assert [A.value(2 * n) for n in range(5)] == [1, 2, 72, 10800, 4233600]
     assert A.value(5) == 0
 
 
 def test_unlabeled_tournament_burnside_counts():
-    A = catalog.unlabeled_tournaments()
+    A = catalog.resolve_class("unlabeled_tournaments")
     assert A.values(10) == [1, 1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056]
     # growth sanity at the audit horizon: the count stays an exact integer
     assert A.value(40) % 10 in range(10)
@@ -67,11 +70,11 @@ A000568 = [
 
 
 def test_unlabeled_tournament_batch_matches_oeis():
-    assert catalog.unlabeled_tournaments().values(15) == A000568
+    assert catalog.resolve_class("unlabeled_tournaments").values(15) == A000568
 
 
 def test_unlabeled_tournament_batch_matches_per_n_formula():
-    got = catalog.unlabeled_tournaments().values(30)
+    got = catalog.resolve_class("unlabeled_tournaments").values(30)
     assert got == [catalog.unlabeled_tournament_count(n) for n in range(31)]
 
 
@@ -118,7 +121,7 @@ def test_unlabeled_filler_matches_the_partition_walk(n_max):
 
 
 def test_unlabeled_filler_matches_per_n_formula_past_40():
-    got = catalog.unlabeled_tournaments().values(60)
+    got = catalog.resolve_class("unlabeled_tournaments").values(60)
     for n in (41, 50, 60):
         assert catalog.unlabeled_tournament_count(n) == got[n]
 
@@ -127,8 +130,8 @@ def test_unlabeled_filler_matches_per_n_formula_past_40():
     "order", list(permutations(["value40", "values10", "values50"])), ids="-".join
 )
 def test_unlabeled_tournament_cache_ignores_call_order(order):
-    want = catalog.unlabeled_tournaments().values(50)
-    A = catalog.unlabeled_tournaments()
+    want = catalog.resolve_class("unlabeled_tournaments").values(50)
+    A = catalog.resolve_class("unlabeled_tournaments")
     for call in order:
         if call == "value40":
             assert A.value(40) == want[40]
@@ -146,12 +149,22 @@ def test_audit_runs_the_unlabeled_filler_once(monkeypatch):
     monkeypatch.setattr(
         catalog, "_unlabeled_tournament_counts", lambda n: calls.append(n) or fill(n)
     )
-    audit(catalog.unlabeled_tournaments(), 60)
+    audit(catalog.resolve_class("unlabeled_tournaments"), 60)
     assert calls == [60]
 
 
 def test_double_factorial():
     assert [catalog.double_factorial(k) for k in (-1, 1, 3, 5, 7)] == [1, 1, 3, 15, 105]
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["seqasym"] + [f"seqasym.{m.name}" for m in pkgutil.iter_modules(seqasym.__path__)],
+)
+def test_every_export_is_defined(module):
+    """A name removed from a module cannot linger in its ``__all__``."""
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_resolve_class_and_unknown():
@@ -277,7 +290,7 @@ def test_load_custom_uses_stem(tmp_path):
 
 
 def test_values_cache_is_consistent():
-    A = catalog.tournaments(1)
+    A = catalog.resolve_class("tournaments", 1)
     first = A.value(12)
     assert A.value(12) == first == 2**66
 
@@ -313,9 +326,9 @@ CLOSED_FORMS = {
 def _fresh_classes():
     return [
         *catalog.catalog_classes(3),
-        catalog.matchings_labeled(),
+        catalog.resolve_class("matchings_labeled"),
         catalog.custom(CATALAN, "unlabeled", name="catalan"),
-        periodic_reindex(catalog.linear_matchings()),
+        periodic_reindex(catalog.resolve_class("linear_matchings")),
     ]
 
 

@@ -14,10 +14,11 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqasym import cli
+from seqasym import cli, suites
 from seqasym.asymptotics import CONSTRUCTIONS
 from seqasym.catalog import _CLASSES, resolve_class
 from seqasym.cli import main, parse_range
+from seqasym.decomposition import parts_table
 from seqasym.errors import BudgetExceeded, RangeError
 from seqasym.oracle import ORACLE_KINDS, object_count
 from seqasym.render import write_json
@@ -227,8 +228,17 @@ def test_custom_file_may_start_with_a_byte_order_mark(runner, tmp_path, fmt):
             "period: 1\nlabeling: unlabeled\nPeriod: 2\n1\n",
             "RangeError: line 3: repeated header 'Period: 2'",
         ),
+        (
+            "labeling: unlabeled\nperiod: 0\n1\n",
+            "PeriodMismatch: period must be a positive integer",
+        ),
+        ("labeling: unlabeled\n# no values\n", "BadConstantTerm: empty value list"),
+        ("labeling: both\n1\n", "RangeError: labeling must be labeled|unlabeled, got 'both'"),
     ],
-    ids=["labeling", "integer", "header", "period", "a0", "labeling-twice", "period-twice"],
+    ids=[
+        "labeling", "integer", "header", "period", "a0", "labeling-twice", "period-twice",
+        "period-zero", "no-values", "labeling-value",
+    ],
 )
 def test_custom_file_errors_name_the_file(runner, tmp_path, command, text, error):
     f = tmp_path / "broken.seq"
@@ -489,6 +499,80 @@ def test_verify_residual_order_reports_honest_failures(runner):
     assert "suite residual-order: 11 ok, 7 failed, 0 skipped" in res.stdout
 
 
+def _appendix_entry_off_by_one(monkeypatch):
+    key = ("tournaments", 1, "parts")
+    ref = suites.REFERENCE_TABLES[key]
+    rows = ((ref.rows[0][0] + 1, *ref.rows[0][1:]), *ref.rows[1:])
+    monkeypatch.setitem(suites.REFERENCE_TABLES, key, dataclasses.replace(ref, rows=rows))
+
+
+def _one_permutation_too_many_at_two(monkeypatch):
+    row = _CLASSES["permutations"]
+    monkeypatch.setitem(
+        _CLASSES, "permutations", row._replace(factor=lambda d, k: k**d + (k == 2))
+    )
+
+
+@pytest.mark.parametrize(
+    "suite, break_reference, first_failure",
+    [
+        (
+            "appendix",
+            _appendix_entry_off_by_one,
+            Check("table-1-tournaments-d1-parts", "fail", "index=1 m=1 expected=2 actual=1"),
+        ),
+        (
+            # the columns of a parts table sum to a_k, not to 0
+            "sumrule",
+            lambda mp: mp.setattr(suites, "seq_coefficients", parts_table),
+            Check("sumrule-tournaments(d=1)", "fail", "k=1 column sum 1"),
+        ),
+        (
+            # the plain side counts 3 permutations of size 2
+            "lift",
+            _one_permutation_too_many_at_two,
+            Check("lift-linear_orders2-vs-permutations-n8-m5", "fail", "n=2 m=1 lift=2 scaled=4"),
+        ),
+        (
+            "wright",
+            lambda mp: mp.setattr(suites, "WRIGHT_FOLDED", (0,) * 4),
+            Check("wright-folded-coefficients", "fail", "(-4, 16, -256, -32768) != (0, 0, 0, 0)"),
+        ),
+        (
+            "comtet",
+            lambda mp: mp.setattr(suites, "COMTET_NUMERATORS", (0,) * 10),
+            Check(
+                "comtet-numerators",
+                "fail",
+                "(2, 1, 4, 19, 110, 745, 5752, 49775, 476994, 5016069)"
+                " != (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)",
+            ),
+        ),
+        (
+            # one size twice: the deviation is close but does not shrink
+            "residual-order",
+            lambda mp: mp.setattr(suites, "_RESIDUAL_GRID", (("tournaments", 1, 0, (40, 40)),)),
+            Check(
+                "residual-order-tournaments-m1-r0",
+                "fail",
+                "deviation not monotone: nr at n=40 off target -2 by 0.00%",
+            ),
+        ),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_verify_reports_a_broken_reference(
+    runner, monkeypatch, suite, break_reference, first_failure
+):
+    """Each suite's fail branch, forced by breaking what it compares against:
+    the check names the disagreement, and ``verify`` exits 1."""
+    break_reference(monkeypatch)
+    assert [c for c in run_suite(suite) if c.status == "fail"][0] == first_failure
+    res = invoke(runner, "verify", "--suite", suite)
+    assert res.exit_code == 1
+    assert f"FAIL {first_failure.name} — {first_failure.detail}" in res.stdout.splitlines()
+
+
 def test_verify_oracle_budget_skips_everything(runner):
     res = invoke(runner, "verify", "--suite", "oracle", "--budget", "1000")
     assert res.exit_code == 0
@@ -583,6 +667,22 @@ def test_audit_json_is_byte_deterministic(runner):
     assert doc["result"]["ratio_trace"][1] == "1"  # u_1/u_2 as exact rational text
     # stage time goes to stderr only
     assert "elapsed:" in a.stderr and "elapsed" not in a.stdout
+
+
+def test_audit_notes_a_zero_inside_the_range(runner, tmp_path):
+    f = tmp_path / "gap.txt"
+    f.write_text("labeling: unlabeled\n" + "1\n" * 3 + "0\n" + "1\n" * 8)
+    res = invoke(runner, "audit", "--custom", str(f), "--N", "10")
+    assert res.exit_code == 0
+    assert res.stdout.splitlines()[2:] == [
+        "verdict: visibly-failing",
+        "ratio trace tail (exact): 1, 1",
+        "ratio trace tail: 1, 1 (approx)",
+        "ratio_linear_bound: False (witness 0 = 0 (approx))",
+        "midpoint_monotone: False",
+        "note: u_3 = 0: ratios undefined past n=2",
+        "finite-range evidence only; no verdict proves the limit.",
+    ]
 
 
 def test_audit_domain_error_exit_code(runner):

@@ -87,7 +87,7 @@ def test_convolve_weights():
 def _decomposable_classes(draw):
     """(a, b, labeling, period) for A = SEQ(B) with a drawn b: dense values
     (ratios of a mostly not integers), or one atom c·z^p, as in
-    linear_orders(1), whose rows are sparse."""
+    linear_orders(d=1), whose rows are sparse."""
     labeling = draw(st.sampled_from(["labeled", "unlabeled"]))
     p = draw(st.sampled_from([1, 2]))
     n_max = draw(st.integers(p, 24))
@@ -171,7 +171,7 @@ def test_zero_parts_row_is_indicator(tournaments1):
 def test_raw_even_matchings_not_seq_decomposable():
     # a_{2n} = (2n-1)!! with labels: the candidate first-part count goes
     # negative at size 4, so no sequence decomposition exists.
-    A = catalog.matchings_labeled()
+    A = catalog.resolve_class("matchings_labeled")
     for m in (1, 5):
         with pytest.raises(NegativeIrreducibleCount) as err:
             parts_table(A, m, 6)
@@ -186,7 +186,7 @@ def test_part_count_matches_table(A):
 
 
 def test_part_count_rejects_what_the_table_rejects():
-    A = catalog.matchings_labeled()
+    A = catalog.resolve_class("matchings_labeled")
     for m, n in [(1, 4), (1, 6), (2, 6), (3, 8)]:
         with pytest.raises(NegativeIrreducibleCount) as via_table:
             parts_table(A, m, n)
@@ -370,7 +370,7 @@ def test_recurrences_suite_names_each_reference(monkeypatch):
 
 def test_halving_identity_rejects_unlabeled():
     with pytest.raises(RangeError):
-        verify_halving_identity(catalog.permutations(1), 10)
+        verify_halving_identity(catalog.resolve_class("permutations", 1), 10)
 
 
 @given(
@@ -394,12 +394,12 @@ def test_random_part_counts_reconstructed(b_counts, labeling):
 
 
 def test_periodic_reindex_linear_matchings():
-    A = catalog.linear_matchings()
+    A = catalog.resolve_class("linear_matchings")
     R = periodic_reindex(A)
     assert R.labeling == "unlabeled" and R.period == 1
     assert [R.value(n) for n in range(4)] == [1, 2, 72, 10800]
     with pytest.raises(PeriodMismatch):
-        periodic_reindex(catalog.tournaments(1))
+        periodic_reindex(catalog.resolve_class("tournaments", 1))
 
 
 def test_lift_identity_full_grid():
@@ -409,8 +409,8 @@ def test_lift_identity_full_grid():
 
 def test_lift_identity_values_explicitly():
     # pairs (permutation, linear order) of size n with m blocks = n! * ip_n^(m)
-    pairs = parts_table(catalog.linear_orders(2), 5, 6)
-    plain = parts_table(catalog.permutations(1), 5, 6)
+    pairs = parts_table(catalog.resolve_class("linear_orders", 2), 5, 6)
+    plain = parts_table(catalog.resolve_class("permutations", 1), 5, 6)
     for n in range(1, 7):
         for m in range(1, 6):
             assert pairs.entries(n, m) == factorial(n) * plain.entries(n, m)

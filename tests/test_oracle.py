@@ -203,27 +203,26 @@ def test_frozen_small_enumerations(kind, n, d):
 
 
 @pytest.mark.parametrize(
-    "kind,factory,d,n_hi",
+    "kind,d,n_hi",
     [
-        ("tournaments", catalog.tournaments, 1, 5),
-        ("tournaments", catalog.tournaments, 2, 4),
-        ("permutations", catalog.permutations, 1, 6),
-        ("permutations", catalog.permutations, 2, 4),
-        ("matchings", catalog.matchings, 1, 5),
-        ("matchings", catalog.matchings, 2, 3),
+        ("tournaments", 1, 5),
+        ("tournaments", 2, 4),
+        ("permutations", 1, 6),
+        ("permutations", 2, 4),
+        ("matchings", 1, 5),
+        ("matchings", 2, 3),
         # past the oracle grid; the prefix-set walk keeps these sizes cheap
-        ("permutations", catalog.permutations, 1, 12),
-        ("matchings", catalog.matchings, 1, 9),
-        ("permutations", catalog.permutations, 2, 8),
+        ("permutations", 1, 12),
+        ("matchings", 1, 9),
+        ("permutations", 2, 8),
         # past the oracle grid; the score-multiset tally keeps these sizes cheap
-        ("tournaments", catalog.tournaments, 1, 8),
-        ("tournaments", catalog.tournaments, 2, 6),
-        ("tournaments", catalog.tournaments, 3, 5),
+        ("tournaments", 1, 8),
+        ("tournaments", 2, 6),
+        ("tournaments", 3, 5),
     ],
-    ids=lambda v: v if isinstance(v, str) else "",
 )
-def test_enumeration_matches_counting_tables(kind, factory, d, n_hi):
-    A = factory(d)
+def test_enumeration_matches_counting_tables(kind, d, n_hi):
+    A = catalog.resolve_class(kind, d)
     table = parts_table(A, n_hi, n_hi)
     for n in range(1, n_hi + 1):
         res = oracle_for(kind, n, d=d)
@@ -233,7 +232,7 @@ def test_enumeration_matches_counting_tables(kind, factory, d, n_hi):
 
 
 def test_unlabeled_enumeration_matches_counting_table():
-    A = catalog.unlabeled_tournaments()
+    A = catalog.resolve_class("unlabeled_tournaments")
     table = parts_table(A, 6, 6)
     for n in range(1, 7):
         res = enumerate_unlabeled_tournament_parts(n)
@@ -247,7 +246,7 @@ def test_unlabeled_enumeration_at_seven_vertices():
     against Burnside's count and the parts table in every m."""
     res = enumerate_unlabeled_tournament_parts(7)
     assert res.total_enumerated == catalog.unlabeled_tournament_count(7) == 456
-    table = parts_table(catalog.unlabeled_tournaments(), 7, 7)
+    table = parts_table(catalog.resolve_class("unlabeled_tournaments"), 7, 7)
     assert [res.count(m) for m in range(1, 8)] == [table.entries(7, m) for m in range(1, 8)]
     assert sum(res.counts_by_parts.values()) == 456
 
@@ -463,13 +462,36 @@ def test_budget_refuses_oversized_runs():
 
 def test_budget_refusal_counts_the_objects_once(monkeypatch):
     calls = []
-    count = oracle.object_count
-    monkeypatch.setattr(oracle, "object_count", lambda *args: calls.append(args) or count(*args))
+    count = oracle._objects
+    monkeypatch.setattr(oracle, "_objects", lambda *args: calls.append(args[2:]) or count(*args))
     with pytest.raises(BudgetExceeded, match="32768 objects exceed budget 1000"):
         enumerate_tournament_parts(6, budget=1000)
-    assert calls == [("tournaments", 6, 1)]
+    assert calls == [(6, 1)]
     enumerate_tournament_parts(3)  # no budget, no count
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, d, resolved",
+    [
+        ("tournaments", 2, 2),
+        ("permutations", 1, 2),
+        ("matchings", 2, 2),
+        ("unlabeled_tournaments", 1, 3),
+    ],
+)
+def test_budgeted_oracle_checks_and_resolves_once_per_call(monkeypatch, kind, d, resolved):
+    """``oracle_for`` and the entry point it runs each check the arguments
+    once, and the budget is counted on the class that check resolved; only
+    the unlabeled kind resolves a third class, the one it scans."""
+    calls = Counter()
+    for module, name in ((oracle, "_check"), (catalog, "resolve_class")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k)
+        )
+    oracle_for(kind, 4, d, budget=10**6)
+    assert calls == {"_check": 2, "resolve_class": resolved}
 
 
 def test_oracle_dispatch_domain_errors():
@@ -499,7 +521,7 @@ def test_oracle_dispatch_domain_errors():
 
 
 def test_oracle_mismatch_names_the_first_disagreement():
-    A = catalog.tournaments(1)
+    A = catalog.resolve_class("tournaments", 1)
     table = parts_table(A, 4, 4)
     res = oracle_for("tournaments", 4)
     assert res.counts_by_parts == {1: 24, 2: 16, 4: 24}
@@ -511,7 +533,7 @@ def test_oracle_mismatch_names_the_first_disagreement():
 
 
 def test_canonical_codes_count_isomorphism_classes():
-    A = catalog.unlabeled_tournaments()
+    A = catalog.resolve_class("unlabeled_tournaments")
     for n in range(1, 6):
         codes = 2 ** (n * (n - 1) // 2)
         canon = {canonical_tournament_code(c, n) for c in range(codes)}

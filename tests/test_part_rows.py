@@ -21,12 +21,16 @@ from seqasym.errors import SeqasymError
 
 # (id, values a_0..a_30, labeled); the id ends with the path of the dense sizes
 _DIVISIONS = [
-    ("tournaments-horner", catalog.tournaments(1).values(30), True),
-    ("permutations-horner", catalog.permutations(1).values(30), False),
-    ("linear_orders-sparse", catalog.linear_orders(1).values(30), True),
-    ("constant-1-sparse", catalog.constant_ones().values(30), False),
-    ("linear_matchings-direct", catalog.linear_matchings().values(30), True),
-    ("unlabeled_tournaments-direct", catalog.unlabeled_tournaments().values(30), False),
+    ("tournaments-horner", catalog.resolve_class("tournaments", 1).values(30), True),
+    ("permutations-horner", catalog.resolve_class("permutations", 1).values(30), False),
+    ("linear_orders-sparse", catalog.resolve_class("linear_orders", 1).values(30), True),
+    ("constant-1-sparse", catalog.resolve_class("constant-1").values(30), False),
+    ("linear_matchings-direct", catalog.resolve_class("linear_matchings").values(30), True),
+    (
+        "unlabeled_tournaments-direct",
+        catalog.resolve_class("unlabeled_tournaments").values(30),
+        False,
+    ),
     # b = z through n = 15, so sizes 8..17 are sparse and 18.. dense again
     ("sparse-then-horner", [factorial(n) << max(n - 15, 0) for n in range(31)], True),
     ("sparse-then-direct", [factorial(n) << max(n - 15, 0) for n in range(30)] + [1], True),
@@ -55,12 +59,12 @@ def _bad_constant_term() -> CountingSequence:
 
 
 _NAMED = {
-    "tournaments": lambda: catalog.tournaments(1),
-    "permutations": lambda: catalog.permutations(1),
-    "linear_orders": lambda: catalog.linear_orders(1),
-    "linear_matchings": catalog.linear_matchings,
-    "unlabeled_tournaments": catalog.unlabeled_tournaments,
-    "matchings_labeled": catalog.matchings_labeled,
+    "tournaments": lambda: catalog.resolve_class("tournaments", 1),
+    "permutations": lambda: catalog.resolve_class("permutations", 1),
+    "linear_orders": lambda: catalog.resolve_class("linear_orders", 1),
+    "linear_matchings": lambda: catalog.resolve_class("linear_matchings"),
+    "unlabeled_tournaments": lambda: catalog.resolve_class("unlabeled_tournaments"),
+    "matchings_labeled": lambda: catalog.resolve_class("matchings_labeled"),
     "bad-constant-term": _bad_constant_term,
 }
 

@@ -244,9 +244,9 @@ def _fractions(x):
 @pytest.mark.parametrize(
     "report",
     [
-        lambda: audit(catalog.tournaments(1), 240),
-        lambda: audit(catalog.tournaments(3), 120),
-        lambda: evaluate_partial_sum(catalog.tournaments(1), 2, 240, 4),
+        lambda: audit(catalog.resolve_class("tournaments", 1), 240),
+        lambda: audit(catalog.resolve_class("tournaments", 3), 120),
+        lambda: evaluate_partial_sum(catalog.resolve_class("tournaments", 1), 2, 240, 4),
     ],
     ids=["audit-tournaments1-N240", "audit-tournaments3-N120", "partial-sum-tournaments1-n240"],
 )
